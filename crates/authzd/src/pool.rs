@@ -85,8 +85,10 @@ pub struct GuardPoolConfig {
     /// Workers dedicated to requests classified as external-authority
     /// -touching ([`AuthzRequest::external`]). `0` disables the lane:
     /// external requests then share the embedded queue and a stuck
-    /// authority can wedge the whole pool (the pre-back-pressure
-    /// behavior, kept reachable for comparison benchmarks).
+    /// authority can wedge the whole pool — a topology for pools
+    /// that never see external authorities, not a baseline (its
+    /// measured collapse is recorded under "Retired baselines" in
+    /// `docs/ARCHITECTURE.md`).
     pub external_workers: usize,
     /// Per-stage latency timers, shared (same `Arc`) with the kernel
     /// so pool-side spans (submit, queue-wait, batch-assembly,
@@ -1471,9 +1473,10 @@ mod tests {
 
     #[test]
     fn external_requests_share_embedded_lane_when_lane_disabled() {
-        // external_workers == 0 is the legacy topology: external
-        // requests ride the embedded queue (and can wedge it — that
-        // is what the back-pressure bench demonstrates).
+        // external_workers == 0 is the single-lane topology: external
+        // requests ride the embedded queue (and can wedge it — the
+        // collapse recorded under "Retired baselines" in
+        // docs/ARCHITECTURE.md).
         let pool = GuardPool::new(
             GuardPoolConfig {
                 workers: 1,

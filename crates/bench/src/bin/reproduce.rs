@@ -1,448 +1,71 @@
 //! Regenerate every table and figure of the paper's evaluation (§5)
 //! — plus the beyond-the-paper Figure 7a analysis-vs-reuse bench, the
-//! Figure 9 scalability curve, and the Figure 12 telemetry-overhead
-//! A/B — and print them in the paper's layout.
+//! Figure 9 scalability curves, the Figure 11 distributed-Nexus bench
+//! and the Figure 12 telemetry-overhead A/B — and print them in the
+//! paper's layout.
 //!
 //! Usage:
 //! `cargo run --release -p nexus-bench --bin reproduce \
-//!    [quick|fig7a|fig9|fig9-hits|fig9-bp|fig9-prover|fig11|fig12] [--json <path>]`
+//!    [quick|fig9|<figure>] [--json <path>]`
 //!
-//! `fig7a` runs only the attestation-analyzer bench (static analysis
-//! cost per authorization vs standing-credential reuse on the
-//! CertiPics upload gate); `fig9` runs only the scalability bench
-//! (full iteration counts);
-//! `fig9-hits` runs only its hit-path mode (seqlock vs mutexed
-//! decision-cache reads on a hit-dominated workload, 1..=64 threads);
-//! `fig9-bp` runs only its back-pressure mode (stuck external
-//! authority vs. bounded admission + authority isolation);
-//! `fig9-prover` runs only the batch-aware prover comparison
-//! (per-request vs frontier-sharing proof search); `fig11` runs only
-//! the distributed-Nexus bench (cross-node revocation latency and
-//! replicated authorization throughput vs cluster size, over the
-//! deterministic simulator); `fig12` runs only the telemetry-overhead
-//! A/B (default telemetry vs `ObsConfig::disabled` on the primed hit
-//! workload).
+//! No argument runs every figure at the full sizes, `quick` at the
+//! quick sizes (`nexus_bench::report::ReportConfig` holds both). A
+//! figure key from `nexus_bench::report::FIGURES` (hyphens accepted:
+//! `fig7a`, `fig9-hits`, `fig9-bp`, `fig9-prover`, `fig11`, `fig12`, …)
+//! runs just that figure at the full sizes; `fig9` runs all four
+//! Figure 9 modes.
 //!
-//! `--json <path>` additionally writes machine-readable results to
-//! `path`: for the full and `quick` modes, one document covering every
-//! figure (see `nexus_bench::report`); for single-figure modes, just
-//! that figure's points.
+//! Each figure runs once: its table is printed from the measured
+//! points, and `--json <path>` additionally writes those same points
+//! to `path` (see `nexus_bench::report`).
 
-use nexus_bench::{fig11, fig12, fig4, fig5, fig6, fig7, fig7a, fig8, fig9, report, table1};
-
-fn print_fig9(iters: u64) {
-    println!("\n=== Figure 9: authorization scalability (ops/s, shared Arc<Nexus>) ===");
-    println!(
-        "{:<8} {:>14} {:>14} {:>8}",
-        "threads", "sync inline", "async batched", "ratio"
-    );
-    for p in fig9::run(iters) {
-        println!(
-            "{:<8} {:>14.0} {:>14.0} {:>7.2}x",
-            p.threads,
-            p.sync_ops_per_s,
-            p.async_ops_per_s,
-            p.async_ops_per_s / p.sync_ops_per_s
-        );
-    }
-    println!("(cache-miss-heavy: decision cache off, 32-disjunct ground goal)");
-}
-
-fn print_fig9_hits(iters: u64) {
-    println!("\n=== Figure 9 (hit path): seqlock vs mutexed decision cache ===");
-    println!(
-        "{:<8} {:>14} {:>14} {:>8} {:>10} {:>10}",
-        "threads", "seqlock", "mutexed", "speedup", "retries", "fallbacks"
-    );
-    for p in fig9::run_hits(iters) {
-        println!(
-            "{:<8} {:>14.0} {:>14.0} {:>7.2}x {:>10} {:>10}",
-            p.threads,
-            p.seqlock_ops_per_s,
-            p.mutexed_ops_per_s,
-            p.speedup(),
-            p.read_retries,
-            p.read_fallbacks
-        );
-    }
-    println!(
-        "(hit-dominated: all threads authorize one primed cached allow; \
-         multicore acceptance bound seqlock ≥ mutexed everywhere, ≥ 1.5x at \
-         32+ threads — on a single-core host the shard mutex is never \
-         contended cross-core and the two paths measure at parity)"
-    );
-}
-
-fn print_fig9_bp(window_ms: u64) {
-    println!("\n=== Figure 9 (back-pressure): one stuck external authority ===");
-    println!(
-        "{:<10} {:>16} {:>14} {:>10}",
-        "config", "embedded ops/s", "ext submitted", "rejected"
-    );
-    let pts = fig9::run_back_pressure(window_ms);
-    for p in &pts {
-        println!(
-            "{:<10} {:>16.0} {:>14} {:>10}",
-            p.mode, p.embedded_ops_per_s, p.external_submitted, p.rejected
-        );
-    }
-    let baseline = pts.iter().find(|p| p.mode == "baseline").unwrap();
-    let isolated = pts.iter().find(|p| p.mode == "isolated").unwrap();
-    let degradation = 100.0 * (1.0 - isolated.embedded_ops_per_s / baseline.embedded_ops_per_s);
-    println!(
-        "(isolated embedded degradation vs baseline: {degradation:.1}% — acceptance bound < 20%; \
-         rejected submissions faulted immediately to the inline path)"
-    );
-}
-
-fn print_fig9_prover(iters: u64) {
-    println!("\n=== Figure 9 (prover): batch-aware proof search ===");
-    println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "mode", "ops/s", "memo hits", "hit rate", "share rate", "avg batch"
-    );
-    let pts = fig9::run_prover(iters);
-    for p in &pts {
-        println!(
-            "{:<12} {:>12.0} {:>12} {:>11.1}% {:>11.1}% {:>10.1}",
-            p.mode,
-            p.ops_per_s,
-            p.memo_hits,
-            100.0 * p.memo_hit_rate(),
-            100.0 * p.share_rate(),
-            p.avg_batch
-        );
-    }
-    let per_request = pts.iter().find(|p| p.mode == "per-request").unwrap();
-    let batch_aware = pts.iter().find(|p| p.mode == "batch-aware").unwrap();
-    println!(
-        "(batch-aware / per-request: {:.2}x — acceptance bound ≥ 1.3x at batch sizes ≥ 4; \
-         proof-heavy auto-prove workload, {}-hop delegation chain × {} conjuncts)",
-        batch_aware.ops_per_s / per_request.ops_per_s,
-        fig9::PROVER_CHAIN_LEN,
-        fig9::PROVER_GOAL_WIDTH
-    );
-}
-
-fn print_fig7a(auths: u64) {
-    println!("\n=== Figure 7a: analysis cost vs credential reuse (CertiPics upload gate) ===");
-    println!(
-        "{:<20} {:>14} {:>8} {:>10} {:>8}",
-        "mode", "ns/auth", "auths", "analyses", "minted"
-    );
-    let pts = fig7a::run(auths);
-    for p in &pts {
-        println!(
-            "{:<20} {:>14.0} {:>8} {:>10} {:>8}",
-            p.mode, p.ns_per_auth, p.auths, p.analyses, p.minted
-        );
-    }
-    println!(
-        "(credential reuse vs re-analysis per auth: {:.1}x — acceptance bound ≥ 5x; \
-         {}-stage encoder, forced re-attest = revoke + analyze + re-mint + epoch flush)",
-        fig7a::speedup(&pts),
-        fig7a::ENCODER_WIDTH
-    );
-}
-
-fn print_fig4_assoc(rounds: u64) {
-    println!("\n=== Figure 4 (ablation): decision-cache hit rate vs associativity ===");
-    println!(
-        "{:<14} {:>10} {:>10} {:>10}",
-        "config", "hits", "misses", "rate"
-    );
-    for p in fig4::associativity(rounds) {
-        let name = if p.ways == 1 {
-            "direct-mapped"
-        } else {
-            "2-way"
-        };
-        println!(
-            "{:<14} {:>10} {:>10} {:>9.1}%",
-            name,
-            p.hits,
-            p.misses,
-            100.0 * p.hit_rate()
-        );
-    }
-    println!("(Fauxbook hot-follower wall-polling pattern, 64-slot cache)");
-}
-
-fn print_fig11(revocations: u64, authz: u64) {
-    println!("\n=== Figure 11: distributed Nexus (BFT-replicated credentials) ===");
-    println!(
-        "{:<8} {:>18} {:>16} {:>16}",
-        "nodes", "revoke lat (µs)", "msgs/revoke", "authz ops/s"
-    );
-    for p in fig11::run(revocations, authz) {
-        println!(
-            "{:<8} {:>18.1} {:>16.1} {:>16.0}",
-            p.nodes, p.revoke_latency_us, p.msgs_per_revoke, p.authz_ops_per_s
-        );
-    }
-    println!(
-        "(in-process cluster over the deterministic simulator; latency = \
-         broadcast to applied-on-every-node, fence included; {revocations} \
-         revocation rounds and {authz} round-robin authorizations per size; \
-         reads stay node-local — only credential writes pay for agreement)"
-    );
-}
-
-fn print_fig12(iters: u64, reps: usize) {
-    println!("\n=== Figure 12: telemetry overhead (primed hit path, 1 thread) ===");
-    let r = fig12::run(iters, reps);
-    println!("{:<12} {:>14} {:>16}", "mode", "hit ops/s", "audit events");
-    println!(
-        "{:<12} {:>14.0} {:>16}",
-        "disabled", r.disabled_ops_per_s, 0
-    );
-    println!(
-        "{:<12} {:>14.0} {:>16}",
-        "enabled", r.enabled_ops_per_s, r.audit_recorded
-    );
-    println!(
-        "(telemetry-on overhead: {:.2}% — acceptance bound < 5%; medians of {} \
-         interleaved reps; enabled = stage timers + audit journal + 1-in-64 hit sampling)",
-        r.overhead_pct(),
-        r.reps
-    );
-}
-
-/// Write `json` to `path`, exiting with a message on failure.
-fn write_json(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("machine-readable results written to {path}");
-}
-
-/// Emit a single figure's report document to `path`.
-fn write_single(path: &str, figure: &str, cfg: &report::ReportConfig) {
-    let section = report::section(figure, cfg).expect("known figure");
-    let doc = serde::Value::Map(vec![(serde::Value::Str(figure.to_string()), section)]);
-    write_json(
-        path,
-        &serde_json::to_string(&doc).expect("report serialization is infallible"),
-    );
-}
+use nexus_bench::report::{self, ReportConfig, FIGURES};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: reproduce [quick|fig7a|fig9|fig9-hits|fig9-bp|fig9-prover|fig11|fig12] [--json <path>]"
-    );
+    eprintln!("usage: reproduce [quick|fig9|<figure>] [--json <path>]");
+    eprintln!("figures: {}", FIGURES.join(" "));
     std::process::exit(2);
 }
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = match args.iter().position(|a| a == "--json") {
-        Some(i) => {
-            if i + 1 >= args.len() {
-                eprintln!("--json requires a path");
+    let json_path = args.iter().position(|a| a == "--json").map(|i| {
+        if i + 1 >= args.len() {
+            eprintln!("--json requires a path");
+            usage();
+        }
+        let path = args.remove(i + 1);
+        args.remove(i);
+        path
+    });
+    let (figures, cfg): (Vec<&str>, ReportConfig) = match args.as_slice() {
+        [] => (FIGURES.to_vec(), ReportConfig::full()),
+        [a] if a == "quick" => (FIGURES.to_vec(), ReportConfig::quick()),
+        [a] => {
+            let key = a.replace('-', "_");
+            let figures: Vec<&str> = FIGURES
+                .iter()
+                .copied()
+                .filter(|f| *f == key || (key == "fig9" && f.starts_with("fig9")))
+                .collect();
+            if figures.is_empty() {
+                eprintln!("unknown argument: {a:?}");
                 usage();
             }
-            let path = args.remove(i + 1);
-            args.remove(i);
-            Some(path)
-        }
-        None => None,
-    };
-    let quick = match args.as_slice() {
-        [] => false,
-        [a] if a == "quick" => true,
-        [a] if a == "fig7a" => {
-            print_fig7a(1_000);
-            if let Some(path) = &json_path {
-                write_single(path, "fig7a", &report::ReportConfig::full());
-            }
-            return;
-        }
-        [a] if a == "fig9" => {
-            print_fig9(2_000);
-            print_fig9_hits(200_000);
-            print_fig9_bp(1_500);
-            print_fig9_prover(600);
-            if let Some(path) = &json_path {
-                let cfg = report::ReportConfig::full();
-                let doc: Vec<(serde::Value, serde::Value)> =
-                    ["fig9", "fig9_hits", "fig9_bp", "fig9_prover"]
-                        .iter()
-                        .map(|f| {
-                            (
-                                serde::Value::Str((*f).to_string()),
-                                report::section(f, &cfg).expect("known figure"),
-                            )
-                        })
-                        .collect();
-                write_json(
-                    path,
-                    &serde_json::to_string(&serde::Value::Map(doc))
-                        .expect("report serialization is infallible"),
-                );
-            }
-            return;
-        }
-        [a] if a == "fig9-hits" => {
-            print_fig9_hits(200_000);
-            if let Some(path) = &json_path {
-                write_single(path, "fig9_hits", &report::ReportConfig::full());
-            }
-            return;
-        }
-        [a] if a == "fig9-bp" => {
-            print_fig9_bp(1_500);
-            if let Some(path) = &json_path {
-                write_single(path, "fig9_bp", &report::ReportConfig::full());
-            }
-            return;
-        }
-        [a] if a == "fig9-prover" => {
-            print_fig9_prover(600);
-            if let Some(path) = &json_path {
-                write_single(path, "fig9_prover", &report::ReportConfig::full());
-            }
-            return;
-        }
-        [a] if a == "fig11" => {
-            print_fig11(10, 2_000);
-            if let Some(path) = &json_path {
-                write_single(path, "fig11", &report::ReportConfig::quick());
-            }
-            return;
-        }
-        [a] if a == "fig12" => {
-            print_fig12(100_000, 5);
-            if let Some(path) = &json_path {
-                write_single(path, "fig12", &report::ReportConfig::full());
-            }
-            return;
+            (figures, ReportConfig::full())
         }
         other => {
             eprintln!("unknown argument(s): {other:?}");
             usage();
         }
     };
-    // With --json, the whole run goes through the report generator (one
-    // pass over every figure) instead of the printed tables.
-    if let Some(path) = &json_path {
-        let cfg = if quick {
-            report::ReportConfig::quick()
-        } else {
-            report::ReportConfig::full()
-        };
-        write_json(path, &report::generate(&cfg));
-        return;
-    }
-    let (iters, pkts, reqs) = if quick {
-        (300, 2_000, 50)
-    } else {
-        (2_000, 20_000, 300)
-    };
-
-    println!("=== Table 1: system call overhead (ns/call) ===");
-    println!(
-        "{:<14} {:>12} {:>12} {:>12}",
-        "call", "Nexus bare", "Nexus", "direct"
-    );
-    for row in table1::run(iters) {
-        println!(
-            "{:<14} {:>12.0} {:>12.0} {:>12.0}",
-            row.call, row.bare_ns, row.nexus_ns, row.direct_ns
-        );
-    }
-
-    println!("\n=== Figure 4: authorization cost (ns/call) ===");
-    println!("{:<12} {:>14} {:>14}", "case", "kernel cache", "no cache");
-    for p in fig4::run(iters) {
-        println!(
-            "{:<12} {:>14.0} {:>14.0}",
-            p.case, p.cached_ns, p.uncached_ns
-        );
-    }
-
-    println!("\n=== Figure 5: proof evaluation cost (ns/check) ===");
-    println!(
-        "{:<10} {:>7} {:>12} {:>12}",
-        "family", "#rules", "eval (E)", "full (F)"
-    );
-    for p in fig5::run(iters.min(500), 20) {
-        println!(
-            "{:<10} {:>7} {:>12.0} {:>12.0}",
-            p.family, p.rules, p.eval_ns, p.full_ns
-        );
-    }
-
-    println!("\n=== Figure 6: control operation overhead (ns/op) ===");
-    for p in fig6::run(iters) {
-        println!("{:<16} {:>12.0}", p.op, p.ns);
-    }
-
-    println!("\n=== Figure 7: interposition overhead (packets/s) ===");
-    println!("{:<10} {:>12} {:>12}", "config", "100 B", "1500 B");
-    let pts = fig7::run(pkts);
-    for cfg in fig7::Config::ALL {
-        let small = pts
-            .iter()
-            .find(|p| p.config == cfg.name() && p.pkt_size == 100)
-            .unwrap();
-        let large = pts
-            .iter()
-            .find(|p| p.config == cfg.name() && p.pkt_size == 1500)
-            .unwrap();
-        println!("{:<10} {:>12.0} {:>12.0}", cfg.name(), small.pps, large.pps);
-    }
-
-    println!("\n=== Figure 8: application throughput (requests/s) ===");
-    let pts = fig8::run(reqs);
-    for kind in ["static", "www"] {
-        for column in ["access control", "introspection", "attested storage"] {
-            println!("\n-- {kind} files / {column} --");
-            let variants: Vec<&str> = {
-                let mut v: Vec<&str> = Vec::new();
-                for p in pts.iter().filter(|p| p.kind == kind && p.column == column) {
-                    if !v.contains(&p.variant) {
-                        v.push(p.variant);
-                    }
-                }
-                v
-            };
-            print!("{:<10}", "size");
-            for v in &variants {
-                print!(" {v:>12}");
-            }
-            println!();
-            for size in fig8::SIZES {
-                print!("{size:<10}");
-                for v in &variants {
-                    let p = pts
-                        .iter()
-                        .find(|p| {
-                            p.kind == kind
-                                && p.column == column
-                                && p.variant == *v
-                                && p.size == size
-                        })
-                        .unwrap();
-                    print!(" {:>12.0}", p.rps);
-                }
-                println!();
-            }
+    let json = report::generate(&figures, &cfg);
+    if let Some(path) = json_path {
+        if let Err(e) = std::fs::write(&path, json) {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
         }
+        println!("\nmachine-readable results written to {path}");
     }
-    print_fig7a(if quick { 300 } else { 1_000 });
-    print_fig4_assoc(if quick { 48 } else { 256 });
-    print_fig9(if quick { 300 } else { 2_000 });
-    print_fig9_hits(if quick { 20_000 } else { 200_000 });
-    print_fig9_bp(if quick { 500 } else { 1_500 });
-    print_fig9_prover(if quick { 100 } else { 600 });
-    print_fig11(
-        if quick { 10 } else { 40 },
-        if quick { 2_000 } else { 10_000 },
-    );
-    // fig12 keeps full iteration counts even in quick mode: one rep is
-    // ~30 ms, and short runs are too noisy for the 5% overhead bound.
-    print_fig12(100_000, 5);
-
-    println!("\n(see EXPERIMENTS.md for paper-vs-measured discussion)");
+    println!("\n(see \"Paper vs. measured\" in README.md for the paper-vs-measured discussion)");
 }

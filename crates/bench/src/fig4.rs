@@ -197,7 +197,6 @@ pub fn associativity(rounds: u64) -> Vec<AssocPoint> {
                 total_slots: 64,
                 subregion_slots: 8,
                 ways,
-                ..Default::default()
             });
             let owner = nexus.spawn("fauxbook", b"img");
             let mut walls = Vec::new();

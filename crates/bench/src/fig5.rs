@@ -9,7 +9,7 @@
 //! chains double-negation introduction; `boolean` chains modus ponens
 //! over implications (the paper's third family is disjunction
 //! elimination — a connective-level rule of comparable per-step cost;
-//! see EXPERIMENTS.md).
+//! see "Paper vs. measured" in the README).
 
 use nexus_core::{AccessRequest, AuthorityRegistry, Guard, OpName, ResourceId};
 use nexus_nal::check::{check, Assumptions};

@@ -21,15 +21,17 @@
 //! paper's "slow goal" scenario where batching should pay.
 //!
 //! The **hit-path** mode ([`run_hits`]) measures the opposite regime —
-//! every request a decision-cache hit, all threads on one cache key —
-//! as an A/B between the seqlock (lock-free) read path and the
-//! pre-ISSUE-6 mutexed baseline (`DecisionCacheConfig::lock_free =
-//! false`): the mutexed curve bends where every thread serializes on
-//! one subregion mutex; the seqlock curve is a handful of atomic
-//! loads and stays flat.
+//! every request a decision-cache hit, all threads on one cache key:
+//! the seqlock probe is a handful of atomic loads, so the curve should
+//! stay flat and never fall back to the locked probe.
+//!
+//! The superseded implementations these modes once compared against
+//! (mutexed cache probe, one-shot prover, single-lane pool) are gone;
+//! their final A/B numbers are the "Retired baselines" table in
+//! `docs/ARCHITECTURE.md`.
 
 use crate::boot_with;
-use nexus_core::{AuthorityKind, DecisionCacheConfig, FnAuthority, ResourceId};
+use nexus_core::{AuthorityKind, FnAuthority, ResourceId};
 use nexus_kernel::{GuardPoolConfig, Nexus, NexusConfig, OverflowPolicy};
 use nexus_nal::{parse, Formula, Principal, Proof};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -215,43 +217,27 @@ pub fn run(iters: u64) -> Vec<Point> {
         .collect()
 }
 
-// ---- hit-path mode (ISSUE 6): seqlock vs mutexed decision cache ----
+// ---- hit-path mode: the seqlock decision-cache probe ----
 
-/// One point on the hit-path A/B curve.
+/// One point on the hit-path curve.
 #[derive(Debug, Clone)]
 pub struct HitPoint {
     /// OS threads hammering one cached decision.
     pub threads: usize,
-    /// Hit throughput on the seqlock (lock-free) read path.
-    pub seqlock_ops_per_s: f64,
-    /// Hit throughput on the mutexed baseline read path.
-    pub mutexed_ops_per_s: f64,
-    /// Seqlock probe retries observed during the seqlock run (a
-    /// writer was mid-flight on the probed slot).
+    /// Hit throughput (authorizations/s).
+    pub ops_per_s: f64,
+    /// Seqlock probe retries observed during the run (a writer was
+    /// mid-flight on the probed slot).
     pub read_retries: u64,
-    /// Bounded-retry exhaustions that fell back to the locked lookup
-    /// during the seqlock run.
+    /// Bounded-retry exhaustions that fell back to the locked probe.
     pub read_fallbacks: u64,
 }
 
-impl HitPoint {
-    /// seqlock / mutexed throughput ratio.
-    pub fn speedup(&self) -> f64 {
-        if self.mutexed_ops_per_s == 0.0 {
-            0.0
-        } else {
-            self.seqlock_ops_per_s / self.mutexed_ops_per_s
-        }
-    }
-}
-
-/// Boot a kernel with one primed, cacheable allow decision, with the
-/// decision cache on the requested read path. Every thread then
-/// authorizes the *same* (subject, op, object) tuple, so the whole
-/// measurement lands on one slot of one subregion — the maximal
-/// contention case for the mutexed baseline, and the paper's "cached
-/// decisions are nearly free" case for the seqlock path.
-fn hit_setup(lock_free: bool) -> (Arc<Nexus>, u64, ResourceId) {
+/// Boot a kernel with one primed, cacheable allow decision. Every
+/// thread then authorizes the *same* (subject, op, object) tuple, so
+/// the whole measurement lands on one slot of one subregion — the
+/// paper's "cached decisions are nearly free" case.
+fn hit_setup() -> (Arc<Nexus>, u64, ResourceId) {
     let nexus = boot_with(NexusConfig::default());
     let object = ResourceId::new("bench", "fig9-hit");
     let owner = nexus.spawn("owner", b"img");
@@ -270,36 +256,26 @@ fn hit_setup(lock_free: bool) -> (Arc<Nexus>, u64, ResourceId) {
         auto_prove: false,
         ..NexusConfig::default()
     });
-    // Select the read path under test (resize drops entries), then
-    // prime the one decision every measurement iteration will hit.
-    nexus.resize_decision_cache(DecisionCacheConfig {
-        lock_free,
-        ..Default::default()
-    });
+    // Prime the one decision every measurement iteration will hit.
     assert!(nexus.authorize(pid, "op", &object).unwrap());
     (Arc::new(nexus), pid, object)
 }
 
-/// Measure one thread count through both read paths.
+/// Measure one thread count.
 pub fn measure_hits(threads: usize, iters: u64) -> HitPoint {
-    let run_one = |lock_free: bool| {
-        let (nexus, pid, object) = hit_setup(lock_free);
-        let pids = vec![pid; threads];
-        let ops = run_threads(&nexus, &pids, &object, iters, sync_body);
-        (ops, nexus.decision_cache_stats())
-    };
-    let (seqlock_ops_per_s, stats) = run_one(true);
-    let (mutexed_ops_per_s, _) = run_one(false);
+    let (nexus, pid, object) = hit_setup();
+    let pids = vec![pid; threads];
+    let ops_per_s = run_threads(&nexus, &pids, &object, iters, sync_body);
+    let stats = nexus.decision_cache_stats();
     HitPoint {
         threads,
-        seqlock_ops_per_s,
-        mutexed_ops_per_s,
+        ops_per_s,
         read_retries: stats.read_retries,
         read_fallbacks: stats.read_fallbacks,
     }
 }
 
-/// The full hit-path A/B curve over [`thread_counts`].
+/// The full hit-path curve over [`thread_counts`].
 pub fn run_hits(iters: u64) -> Vec<HitPoint> {
     thread_counts()
         .into_iter()
@@ -315,7 +291,7 @@ pub fn run_hits(iters: u64) -> Vec<HitPoint> {
 // answering for the duration of the measurement window, while hammer
 // threads flood the pipeline with requests whose goal depends on it
 // and embedded threads measure ordinary (label-backed) authorization
-// throughput. Three configurations:
+// throughput. Two configurations:
 //
 // * `baseline`  — bounded pool, no external load (the reference);
 // * `isolated`  — bounded pool + dedicated external lane, under load:
@@ -323,17 +299,14 @@ pub fn run_hits(iters: u64) -> Vec<HitPoint> {
 //                 worker, the external queue fills to its high-water
 //                 mark and further external submissions fault
 //                 (Reject), and embedded throughput must stay within
-//                 20% of baseline;
-// * `legacy`    — the pre-back-pressure topology (unbounded queue, no
-//                 external lane): the stuck batches occupy every
-//                 worker and embedded throughput collapses.
+//                 20% of baseline.
 
 /// Embedded measurement threads / pool workers.
 const BP_THREADS: usize = 4;
 /// Hammer threads flooding the external authority.
 const BP_HAMMER_THREADS: usize = 2;
 /// External submissions per hammer thread (spread over distinct
-/// objects so legacy-mode batches land on every worker).
+/// objects).
 const BP_HAMMER_REQS: usize = 400;
 /// Distinct external objects.
 const BP_EXT_OBJECTS: usize = 8;
@@ -343,7 +316,7 @@ const BP_MAX_QUEUED: usize = 256;
 /// One back-pressure configuration's measurement.
 #[derive(Debug, Clone)]
 pub struct BackPressurePoint {
-    /// `baseline`, `isolated`, or `legacy`.
+    /// `baseline` or `isolated`.
     pub mode: &'static str,
     /// Embedded-authority (label-backed) authorization throughput.
     pub embedded_ops_per_s: f64,
@@ -364,19 +337,6 @@ fn bp_isolated_cfg() -> GuardPoolConfig {
         max_queued: BP_MAX_QUEUED,
         overflow: OverflowPolicy::Reject,
         external_workers: 1,
-        stage_timers: None,
-    }
-}
-
-/// The PR-2 topology: unbounded queue, no external lane.
-fn bp_legacy_cfg() -> GuardPoolConfig {
-    GuardPoolConfig {
-        workers: BP_THREADS,
-        max_batch: 64,
-        prioritizer: None,
-        max_queued: usize::MAX,
-        overflow: OverflowPolicy::Reject,
-        external_workers: 0,
         stage_timers: None,
     }
 }
@@ -452,14 +412,9 @@ fn bp_setup() -> (
 /// Measure one configuration for `window`: embedded threads count
 /// completed authorizations until the deadline while (optionally)
 /// hammer threads flood the stuck external authority.
-fn bp_measure(
-    mode: &'static str,
-    cfg: GuardPoolConfig,
-    hammer: bool,
-    window: Duration,
-) -> BackPressurePoint {
+fn bp_measure(mode: &'static str, hammer: bool, window: Duration) -> BackPressurePoint {
     let (nexus, pids, object, ext, release) = bp_setup();
-    nexus.start_authz_pipeline(cfg);
+    nexus.start_authz_pipeline(bp_isolated_cfg());
     let deadline = Instant::now() + window;
     let external_submitted = Arc::new(AtomicU64::new(0));
 
@@ -521,14 +476,13 @@ fn bp_measure(
     }
 }
 
-/// Run the three configurations (baseline / isolated / legacy) with a
+/// Run both configurations (baseline / isolated) with a
 /// `window_ms`-long measurement window each.
 pub fn run_back_pressure(window_ms: u64) -> Vec<BackPressurePoint> {
     let window = Duration::from_millis(window_ms);
     vec![
-        bp_measure("baseline", bp_isolated_cfg(), false, window),
-        bp_measure("isolated", bp_isolated_cfg(), true, window),
-        bp_measure("legacy", bp_legacy_cfg(), true, window),
+        bp_measure("baseline", false, window),
+        bp_measure("isolated", true, window),
     ]
 }
 
@@ -539,16 +493,11 @@ pub fn run_back_pressure(window_ms: u64) -> Vec<BackPressurePoint> {
 // proof-heavy — no stored proofs, the kernel auto-proves every
 // request from the subject's labels, and the goal is a conjunction of
 // delegation-chain subgoals so each search walks the chain's handoff
-// graph per conjunct. Two configurations, identical except for
-// `NexusConfig::batch_prover`:
-//
-// * `per-request` — the legacy one-shot search per request, even
-//   inside a coalesced batch;
-// * `batch-aware` — one `ProofSearch` session per guard: a batch's
-//   identical (goal, label-shape) requests are partitioned into
-//   frontier-sharing groups, searched once per group, memoized
-//   subgoals spliced into each request's proof (and into subsequent
-//   batches' — the memo lives until the label epoch moves).
+// graph per conjunct. The guard keeps one `ProofSearch` session: a
+// batch's identical (goal, label-shape) requests are partitioned into
+// frontier-sharing groups, searched once per group, memoized subgoals
+// spliced into each request's proof (and into subsequent batches' —
+// the memo lives until the label epoch moves).
 
 /// Handoff hops in the delegation chain (P0 → P1 → … → Owner).
 pub const PROVER_CHAIN_LEN: usize = 10;
@@ -559,14 +508,12 @@ const PROVER_THREADS: usize = 4;
 /// Pool workers (fewer than submitters so batches actually form).
 const PROVER_WORKERS: usize = 2;
 
-/// One prover-mode configuration's measurement.
+/// The prover mode's measurement.
 #[derive(Debug, Clone)]
 pub struct ProverPoint {
-    /// `per-request` or `batch-aware`.
-    pub mode: &'static str,
     /// Authorizations per second.
     pub ops_per_s: f64,
-    /// Prover memo hits over the run (0 for per-request).
+    /// Prover memo hits over the run.
     pub memo_hits: u64,
     /// Prover memo misses over the run.
     pub memo_misses: u64,
@@ -611,7 +558,7 @@ fn prover_goal() -> Formula {
 /// handoff chain `P1 says (P0 sf P1) … Owner says (P{n-1} sf Owner)`
 /// plus the payloads `P0 says gk` — so `Owner says gk` is provable
 /// only by searching the chain. No stored proofs anywhere.
-fn prover_setup(batch_prover: bool) -> (Arc<Nexus>, Vec<u64>, ResourceId) {
+fn prover_setup() -> (Arc<Nexus>, Vec<u64>, ResourceId) {
     let nexus = boot_with(NexusConfig::default());
     let object = ResourceId::new("bench", "fig9-prover");
     let owner = nexus.spawn("owner", b"img");
@@ -652,14 +599,14 @@ fn prover_setup(batch_prover: bool) -> (Arc<Nexus>, Vec<u64>, ResourceId) {
     // decision cache) and must be auto-proved (no stored proofs).
     nexus.set_config(NexusConfig {
         decision_cache: false,
-        batch_prover,
         ..NexusConfig::default()
     });
     (Arc::new(nexus), pids, object)
 }
 
-fn prover_measure(mode: &'static str, batch_prover: bool, iters: u64) -> ProverPoint {
-    let (nexus, pids, object) = prover_setup(batch_prover);
+/// Run the proof-heavy auto-prove workload through the pipeline.
+pub fn run_prover(iters: u64) -> ProverPoint {
+    let (nexus, pids, object) = prover_setup();
     nexus.start_authz_pipeline(GuardPoolConfig {
         workers: PROVER_WORKERS,
         max_batch: 64,
@@ -670,7 +617,6 @@ fn prover_measure(mode: &'static str, batch_prover: bool, iters: u64) -> ProverP
     let prover = nexus.guard_prover_stats();
     nexus.stop_authz_pipeline();
     ProverPoint {
-        mode,
         ops_per_s,
         memo_hits: stats.prover_memo_hits,
         memo_misses: stats.prover_memo_misses,
@@ -682,14 +628,6 @@ fn prover_measure(mode: &'static str, batch_prover: bool, iters: u64) -> ProverP
             stats.completed as f64 / stats.batches as f64
         },
     }
-}
-
-/// Run the per-request vs batch-aware prover comparison.
-pub fn run_prover(iters: u64) -> Vec<ProverPoint> {
-    vec![
-        prover_measure("per-request", false, iters),
-        prover_measure("batch-aware", true, iters),
-    ]
 }
 
 #[cfg(test)]
@@ -713,28 +651,18 @@ mod tests {
     #[test]
     fn seqlock_hit_path_stats_and_counts_are_sane() {
         let _serial = crate::timing_guard();
-        // The acceptance criterion proper (seqlock ≥ mutexed at every
-        // count, ≥ 1.5× at 32+) is asserted on the `reproduce` run;
-        // here assert the harness itself: both paths produce
-        // throughput, the sweep reaches 64 threads, and the seqlock
-        // hit path never falls back to the locked lookup when no
-        // writer is running.
+        // Assert the harness itself: the run produces throughput, the
+        // sweep reaches 64 threads, and the seqlock hit path never
+        // falls back to the locked probe when no writer is running.
         let counts = thread_counts();
         assert_eq!(counts.first(), Some(&1));
         assert!(counts.contains(&32) && counts.contains(&64));
         assert!(counts.windows(2).all(|w| w[0] < w[1]), "sweep not sorted");
         let p = measure_hits(4, 400);
-        assert!(p.seqlock_ops_per_s > 0.0 && p.mutexed_ops_per_s > 0.0);
+        assert!(p.ops_per_s > 0.0);
         assert_eq!(
             p.read_fallbacks, 0,
             "hit-only workload with no writers must never exhaust retries"
-        );
-        // Noisy-harness margin, same spirit as the async test below.
-        assert!(
-            p.speedup() >= 0.5,
-            "seqlock {:.0}/s vs mutexed {:.0}/s",
-            p.seqlock_ops_per_s,
-            p.mutexed_ops_per_s
         );
     }
 
@@ -759,11 +687,10 @@ mod tests {
         let _serial = crate::timing_guard();
         let pts = run_back_pressure(300);
         let find = |m: &str| pts.iter().find(|p| p.mode == m).unwrap().clone();
-        let (baseline, isolated, legacy) = (find("baseline"), find("isolated"), find("legacy"));
+        let (baseline, isolated) = (find("baseline"), find("isolated"));
         // The acceptance criterion proper (< 20% degradation) is
         // asserted on the `reproduce` run with a longer window; under
-        // the noisy test harness allow a wide margin — but isolation
-        // must clearly hold where the legacy topology clearly wedges.
+        // the noisy test harness allow a wide margin.
         assert!(
             isolated.embedded_ops_per_s >= 0.35 * baseline.embedded_ops_per_s,
             "stuck external authority starved embedded traffic: isolated {:.0}/s vs baseline {:.0}/s",
@@ -774,40 +701,26 @@ mod tests {
             isolated.rejected > 0,
             "hammer never hit the high-water mark: {isolated:?}"
         );
-        assert!(
-            legacy.embedded_ops_per_s < 0.5 * isolated.embedded_ops_per_s,
-            "legacy topology should collapse under the stuck authority: legacy {:.0}/s vs isolated {:.0}/s",
-            legacy.embedded_ops_per_s,
-            isolated.embedded_ops_per_s
-        );
     }
 
     #[test]
     fn prover_modes_authorize_correctly() {
         let _serial = crate::timing_guard();
-        for batch_prover in [false, true] {
-            let (nexus, pids, object) = prover_setup(batch_prover);
-            nexus.start_authz_pipeline(GuardPoolConfig::default());
-            assert!(nexus.authorize(pids[0], "op", &object).unwrap());
-            let t = nexus.authorize_async(pids[1], "op", &object).unwrap();
-            assert!(t.wait().is_allow());
-            // A subject without the chain labels is denied either way.
-            let stranger = nexus.spawn("stranger", b"img");
-            assert!(!nexus.authorize(stranger, "op", &object).unwrap());
-            nexus.stop_authz_pipeline();
-        }
+        let (nexus, pids, object) = prover_setup();
+        nexus.start_authz_pipeline(GuardPoolConfig::default());
+        assert!(nexus.authorize(pids[0], "op", &object).unwrap());
+        let t = nexus.authorize_async(pids[1], "op", &object).unwrap();
+        assert!(t.wait().is_allow());
+        // A subject without the chain labels is denied either way.
+        let stranger = nexus.spawn("stranger", b"img");
+        assert!(!nexus.authorize(stranger, "op", &object).unwrap());
+        nexus.stop_authz_pipeline();
     }
 
     #[test]
     fn batch_aware_prover_shares_the_frontier() {
         let _serial = crate::timing_guard();
-        let pts = run_prover(100);
-        let per_request = &pts[0];
-        let batch_aware = &pts[1];
-        assert_eq!(
-            per_request.memo_hits, 0,
-            "legacy mode must not touch the prover memo"
-        );
+        let batch_aware = run_prover(100);
         assert!(
             batch_aware.memo_hits > 0,
             "batch-aware mode must share derivations: {batch_aware:?}"
@@ -815,16 +728,6 @@ mod tests {
         assert!(
             batch_aware.share_rate() > 0.5,
             "most auto-proves should ride a frontier-sharing group: {batch_aware:?}"
-        );
-        // The acceptance criterion proper (≥ 1.3× at batch ≥ 4) is
-        // asserted on the release `reproduce fig9-prover` run; under
-        // the noisy debug test harness just require batch-aware not to
-        // be slower.
-        assert!(
-            batch_aware.ops_per_s >= 0.9 * per_request.ops_per_s,
-            "batch-aware {:.0}/s vs per-request {:.0}/s",
-            batch_aware.ops_per_s,
-            per_request.ops_per_s
         );
     }
 

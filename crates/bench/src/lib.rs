@@ -1,7 +1,7 @@
 //! Benchmark workloads regenerating every table and figure of the
-//! paper's evaluation (§5). The same workload functions back both the
-//! Criterion benches (`benches/`) and the `reproduce` binary that
-//! prints paper-style tables.
+//! paper's evaluation (§5), driven by the `reproduce` binary, which
+//! prints paper-style tables (and the same points as JSON) through
+//! [`report`].
 
 #![forbid(unsafe_code)]
 #![allow(missing_docs)]

@@ -26,9 +26,9 @@
 //! to odd before touching the payload and back to even after. A torn
 //! read is therefore *detected*, never acted on: it degrades to a
 //! miss and the request simply takes the guard slow path, where the
-//! epoch fences decide afresh. The mutexed read path is kept behind
-//! [`DecisionCacheConfig::lock_free`] as the A/B baseline for the
-//! fig9 hit-path benchmark.
+//! epoch fences decide afresh. (The mutexed probe this replaced
+//! measured at parity on the hosts available; its final A/B is the
+//! "Retired baselines" table in `docs/ARCHITECTURE.md`.)
 //!
 //! Slots store a 128-bit keyed fingerprint of the access-control
 //! tuple rather than the tuple itself (heap-backed strings cannot be
@@ -78,11 +78,6 @@ pub struct DecisionCacheConfig {
     /// displacements (the ROADMAP's Figure-4 hit-rate experiment).
     /// Clamped to `1..=subregion_slots`.
     pub ways: usize,
-    /// Seqlock (lock-free) hit path — the default. `false` routes
-    /// every lookup through the per-subregion mutex instead: the
-    /// pre-seqlock baseline, kept selectable for the fig9 hit-path
-    /// A/B comparison.
-    pub lock_free: bool,
 }
 
 impl Default for DecisionCacheConfig {
@@ -91,7 +86,6 @@ impl Default for DecisionCacheConfig {
             total_slots: 4096,
             subregion_slots: 16,
             ways: 1,
-            lock_free: true,
         }
     }
 }
@@ -161,7 +155,6 @@ struct Table {
     shards: Vec<Shard>,
     subregion_slots: usize,
     ways: usize,
-    lock_free: bool,
     /// Independently keyed fingerprint hashers (seeded per table).
     fp_a: RandomState,
     fp_b: RandomState,
@@ -184,7 +177,6 @@ impl Table {
                 .collect(),
             subregion_slots,
             ways,
-            lock_free: cfg.lock_free,
             fp_a: RandomState::new(),
             fp_b: RandomState::new(),
         }
@@ -324,8 +316,8 @@ impl DecisionCache {
         slot.seq.store(s.wrapping_add(2), Ordering::Release);
     }
 
-    /// Probe a set while holding the shard writer lock (the mutexed
-    /// baseline, and the bounded-retry fallback). Slots with an odd
+    /// Probe a set while holding the shard writer lock (the
+    /// bounded-retry fallback). Slots with an odd
     /// sequence are treated as empty — under the lock no legitimate
     /// writer can be mid-flight, so an odd sequence means torn state
     /// that must not be trusted.
@@ -358,44 +350,42 @@ impl DecisionCache {
         None
     }
 
-    /// Look up a cached decision. On the seqlock path this takes no
-    /// locks: a hit is a handful of atomic loads; a probe raced by a
-    /// writer retries (bounded) and then falls back to the locked
-    /// path. Every call counts exactly one hit or one miss.
+    /// Look up a cached decision. This takes no locks: a hit is a
+    /// handful of atomic loads; a probe raced by a writer retries
+    /// (bounded) and then falls back to the locked probe. Every call
+    /// counts exactly one hit or one miss.
     pub fn lookup(&self, key: &CacheKey) -> Option<bool> {
         self.table.read(|t, _| {
             let (sub, base) = t.position_of(key);
             let (lo, hi) = t.fingerprint(key);
             let shard = &t.shards[sub];
-            if t.lock_free {
-                'attempt: for _ in 0..MAX_READ_RETRIES {
-                    for slot in &shard.slots[base..base + t.ways] {
-                        match Self::read_way(slot) {
-                            Some((slo, shi, meta)) => {
-                                if meta & OCCUPIED != 0 && slo == lo && shi == hi {
-                                    if t.ways > 1 {
-                                        slot.stamp.store(
-                                            self.clock.fetch_add(1, Ordering::Relaxed),
-                                            Ordering::Relaxed,
-                                        );
-                                    }
-                                    self.hits.add(1);
-                                    return Some(meta & ALLOW != 0);
+            'attempt: for _ in 0..MAX_READ_RETRIES {
+                for slot in &shard.slots[base..base + t.ways] {
+                    match Self::read_way(slot) {
+                        Some((slo, shi, meta)) => {
+                            if meta & OCCUPIED != 0 && slo == lo && shi == hi {
+                                if t.ways > 1 {
+                                    slot.stamp.store(
+                                        self.clock.fetch_add(1, Ordering::Relaxed),
+                                        Ordering::Relaxed,
+                                    );
                                 }
-                            }
-                            // Writer mid-flight: a torn or in-progress
-                            // slot is never acted on — retry the set.
-                            None => {
-                                self.read_retries.add(1);
-                                continue 'attempt;
+                                self.hits.add(1);
+                                return Some(meta & ALLOW != 0);
                             }
                         }
+                        // Writer mid-flight: a torn or in-progress
+                        // slot is never acted on — retry the set.
+                        None => {
+                            self.read_retries.add(1);
+                            continue 'attempt;
+                        }
                     }
-                    self.misses.add(1);
-                    return None;
                 }
-                self.read_fallbacks.add(1);
+                self.misses.add(1);
+                return None;
             }
+            self.read_fallbacks.add(1);
             let _g = shard.write_lock.lock();
             match self.probe_locked(t, shard, base, lo, hi) {
                 Some(allow) => {
@@ -575,11 +565,6 @@ impl DecisionCache {
     pub fn ways(&self) -> usize {
         self.table.read(|t, _| t.ways)
     }
-
-    /// Whether lookups use the seqlock (lock-free) read path.
-    pub fn lock_free(&self) -> bool {
-        self.table.read(|t, _| t.lock_free)
-    }
 }
 
 impl Default for DecisionCache {
@@ -601,40 +586,27 @@ mod tests {
         }
     }
 
-    /// Both read paths, for tests that must hold on either.
-    fn both_paths() -> [DecisionCache; 2] {
-        [
-            DecisionCache::new(DecisionCacheConfig::default()),
-            DecisionCache::new(DecisionCacheConfig {
-                lock_free: false,
-                ..Default::default()
-            }),
-        ]
-    }
-
     #[test]
     fn insert_lookup_roundtrip() {
-        for c in both_paths() {
-            let k = key("alice", "read", "file:/x");
-            assert_eq!(c.lookup(&k), None);
-            c.insert(k.clone(), true);
-            assert_eq!(c.lookup(&k), Some(true));
-            assert_eq!(c.stats().hits, 1);
-            assert_eq!(c.stats().misses, 1);
-        }
+        let c = DecisionCache::default();
+        let k = key("alice", "read", "file:/x");
+        assert_eq!(c.lookup(&k), None);
+        c.insert(k.clone(), true);
+        assert_eq!(c.lookup(&k), Some(true));
+        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]
     fn entry_invalidation_clears_one() {
-        for c in both_paths() {
-            let k1 = key("alice", "read", "file:/x");
-            let k2 = key("bob", "read", "file:/x");
-            c.insert(k1.clone(), true);
-            c.insert(k2.clone(), false);
-            c.invalidate_entry(&k1);
-            assert_eq!(c.lookup(&k1), None);
-            assert_eq!(c.lookup(&k2), Some(false));
-        }
+        let c = DecisionCache::default();
+        let k1 = key("alice", "read", "file:/x");
+        let k2 = key("bob", "read", "file:/x");
+        c.insert(k1.clone(), true);
+        c.insert(k2.clone(), false);
+        c.invalidate_entry(&k1);
+        assert_eq!(c.lookup(&k1), None);
+        assert_eq!(c.lookup(&k2), Some(false));
     }
 
     #[test]
@@ -671,7 +643,6 @@ mod tests {
             total_slots: 4,
             subregion_slots: 2,
             ways: 1,
-            lock_free: true,
         });
         // With 2 subregions × 2 slots, collisions are guaranteed.
         for i in 0..32 {
@@ -692,24 +663,9 @@ mod tests {
             total_slots: 64,
             subregion_slots: 8,
             ways: 1,
-            lock_free: true,
         });
         assert_eq!(c.stats().hits, hits);
         assert_eq!(c.lookup(&k), None);
-    }
-
-    #[test]
-    fn resize_can_flip_read_paths() {
-        let c = DecisionCache::default();
-        assert!(c.lock_free());
-        c.resize(DecisionCacheConfig {
-            lock_free: false,
-            ..Default::default()
-        });
-        assert!(!c.lock_free());
-        let k = key("a", "op", "o");
-        c.insert(k.clone(), false);
-        assert_eq!(c.lookup(&k), Some(false));
     }
 
     #[test]
@@ -721,13 +677,11 @@ mod tests {
             total_slots: 2,
             subregion_slots: 2,
             ways: 1,
-            lock_free: true,
         });
         let assoc = DecisionCache::new(DecisionCacheConfig {
             total_slots: 2,
             subregion_slots: 2,
             ways: 2,
-            lock_free: true,
         });
         // Find two subjects that land in the same way-1 slot of the
         // same subregion (guaranteed to exist quickly: 1 subregion
@@ -762,7 +716,6 @@ mod tests {
             total_slots: 2,
             subregion_slots: 2,
             ways: 2,
-            lock_free: true,
         });
         let keys: Vec<CacheKey> = (0..3).map(|i| key(&format!("s{i}"), "r", "o")).collect();
         c.insert(keys[0].clone(), true);
@@ -785,7 +738,6 @@ mod tests {
             total_slots: 8,
             subregion_slots: 4,
             ways: 64,
-            lock_free: true,
         });
         assert_eq!(c.ways(), 4);
         let k = key("a", "r", "o");
@@ -812,30 +764,28 @@ mod tests {
 
     #[test]
     fn shared_across_threads() {
-        for c in both_paths() {
-            let c = Arc::new(c);
-            let mut handles = Vec::new();
-            for t in 0..8 {
-                let c = Arc::clone(&c);
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..200 {
-                        let k = key(&format!("user{t}"), "read", &format!("file:/t{t}/f{i}"));
-                        c.insert(k.clone(), true);
-                        // Another thread's insert may displace this slot
-                        // (direct-mapped table, hash collisions are legal)
-                        // — but a lookup must never return a *wrong*
-                        // decision, only a hit-with-our-value or a miss.
-                        assert_ne!(c.lookup(&k), Some(false));
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            // Every loop iteration did exactly one lookup.
-            let s = c.stats();
-            assert_eq!(s.hits + s.misses, 8 * 200);
+        let c = Arc::new(DecisionCache::default());
+        let mut handles = Vec::new();
+        for t in 0..8 {
+            let c = Arc::clone(&c);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..200 {
+                    let k = key(&format!("user{t}"), "read", &format!("file:/t{t}/f{i}"));
+                    c.insert(k.clone(), true);
+                    // Another thread's insert may displace this slot
+                    // (direct-mapped table, hash collisions are legal)
+                    // — but a lookup must never return a *wrong*
+                    // decision, only a hit-with-our-value or a miss.
+                    assert_ne!(c.lookup(&k), Some(false));
+                }
+            }));
         }
+        for h in handles {
+            h.join().unwrap();
+        }
+        // Every loop iteration did exactly one lookup.
+        let s = c.stats();
+        assert_eq!(s.hits + s.misses, 8 * 200);
     }
 
     #[test]
@@ -951,7 +901,6 @@ mod tests {
             total_slots: 8,
             subregion_slots: 4,
             ways: 1,
-            lock_free: true,
         }));
         let keys: Vec<(CacheKey, bool)> = (0..16)
             .map(|i| (key(&format!("u{i}"), "read", "file:/hot"), i % 2 == 0))

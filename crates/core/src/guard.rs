@@ -16,7 +16,6 @@
 //! everything else is cached).
 
 use crate::authority::AuthorityRegistry;
-use crate::error::CoreError;
 use crate::resource::{OpName, ResourceId};
 use nexus_nal::check::{check, normalize, Assumptions};
 use nexus_nal::{
@@ -466,10 +465,9 @@ impl Guard {
     /// a (goal, credential) shape near-free, the decision-cache and
     /// stored-/supplied-proof paths never take this lock, and the
     /// search is budget-bounded ([`ProverConfig::max_subgoals`]), so
-    /// the wait is bounded too. Workloads dominated by *distinct*
-    /// proof searches can opt out per kernel config
-    /// (`NexusConfig::batch_prover = false` restores the lock-free
-    /// one-shot prover).
+    /// the wait is bounded too. (The one-shot search per request
+    /// this replaced measured ≈3× slower on the proof-heavy workload;
+    /// see "Retired baselines" in `docs/ARCHITECTURE.md`.)
     pub fn prove_batch(
         &self,
         epoch: u64,
@@ -586,20 +584,6 @@ impl Default for Guard {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Convenience used by callers that assemble everything themselves:
-/// run a one-shot guard check without memoization.
-pub fn check_once(
-    req: &AccessRequest<'_>,
-    goal: &Formula,
-    authorities: &AuthorityRegistry,
-) -> Result<Decision, CoreError> {
-    let g = Guard::with_config(GuardCacheConfig {
-        capacity: 1,
-        per_principal_quota: 1,
-    });
-    Ok(g.check(req, goal, authorities))
 }
 
 #[cfg(test)]

@@ -26,13 +26,16 @@
 //! lock.
 //!
 //! Because readers no longer hold locks, consistency is proven *after*
-//! the fact: evaluation captures a `ReadStamp` — the (goal, proof,
-//! label-removal) epoch triple plus the goal/proof snapshot
-//! *publication versions* — before reading any store, and re-validates
-//! it before acting. The epoch half catches writers that completed;
-//! the version half catches a writer that had bumped its epoch but not
-//! yet published when the reader sampled the store (writers bump
-//! first, then publish). Decision-cache fills re-run that validation
+//! the fact: the one evaluator (`Nexus::evaluate_authz`, serving the
+//! caller-thread path as a slice of one and the pipeline's batches
+//! alike) captures a `ReadStamp` — the (goal, proof, label-removal)
+//! epoch triple plus the goal/proof snapshot *publication versions* —
+//! before reading any store, and re-validates it before any verdict
+//! leaves, re-evaluating if it moved. The epoch half catches writers
+//! that completed; the version half catches a writer that had bumped
+//! its epoch but not yet published when the reader sampled the store
+//! (writers bump first, then publish). Decision-cache fills re-run
+//! that validation
 //! *inside* the cache's subregion writer lock
 //! (`DecisionCache::insert_if`), so a concurrent `setgoal`'s
 //! invalidation can never be overwritten by a stale decision — the
@@ -54,7 +57,7 @@ use nexus_core::{
     DecisionCache, DecisionCacheConfig, GoalStore, Guard, KernelSigner, Label, LabelHandle, OpName,
     ProofStore, ResourceId, Snapshot,
 };
-use nexus_nal::{prove, BatchGoal, Formula, Principal, Proof, ProverConfig, Term};
+use nexus_nal::{BatchGoal, Formula, Principal, Proof, ProverConfig, Term};
 use nexus_obs::{
     event as audit_event, AuditEvent, AuditJournal, AuditPath, AuditVerdict, MetricsRegistry,
     ObsConfig, Sampler, Stage, StageTimers, TelemetrySnapshot,
@@ -101,12 +104,6 @@ pub struct NexusConfig {
     /// Let the kernel attempt proof construction from the subject's
     /// labels when no proof is stored or supplied.
     pub auto_prove: bool,
-    /// Route auto-proving through the guard's persistent batch-prover
-    /// session (one `ProofSearch` memo shared by each coalesced batch
-    /// and across batches within a label epoch). Disabling it restores
-    /// the legacy one-shot search per request — kept reachable for the
-    /// `fig9-prover` comparison benchmark.
-    pub batch_prover: bool,
     /// Enforce goal formulas on filesystem operations (Figure 8's
     /// access-control column benchmarks toggle this).
     pub authorize_fs: bool,
@@ -122,7 +119,6 @@ impl Default for NexusConfig {
             interpose_syscalls: true,
             decision_cache: true,
             auto_prove: true,
-            batch_prover: true,
             authorize_fs: true,
             obs: ObsConfig::default(),
         }
@@ -880,23 +876,25 @@ impl Nexus {
     ) -> Result<bool, KernelError> {
         let cfg = self.config();
         let opn = OpName::from(op);
-        match self.route_authz(pid, &opn, object, inline_proof, &cfg)? {
-            AuthzRoute::Cached(allow) => Ok(allow),
+        let outcome = match self.route_authz(pid, &opn, object, inline_proof, &cfg)? {
+            AuthzRoute::Cached(allow) => return Ok(allow),
             AuthzRoute::Submitted(ticket) => match ticket.wait() {
-                AuthzOutcome::Allow => Ok(true),
-                AuthzOutcome::Deny => Ok(false),
-                // A fault (pool raced a shutdown mid-flight, or
-                // pathological epoch churn starved the batch) degrades
-                // to the inline path rather than surfacing an error
-                // for an evaluable request.
-                AuthzOutcome::Fault(_) => {
-                    let subject = self.principal(pid)?;
-                    self.authorize_inline(pid, subject, &opn, object, inline_proof, &cfg)
-                }
+                // A fault (the pool shed the submission, raced a
+                // shutdown mid-flight, or epoch churn starved the
+                // batch) degrades to evaluation on the caller's
+                // thread rather than surfacing an error for an
+                // evaluable request.
+                AuthzOutcome::Fault(_) => self.evaluate_inline(pid, &opn, object, inline_proof),
+                verdict => verdict,
             },
-            AuthzRoute::Evaluate(subject) => {
-                self.authorize_inline(pid, subject, &opn, object, inline_proof, &cfg)
-            }
+            AuthzRoute::Evaluate => self.evaluate_inline(pid, &opn, object, inline_proof),
+        };
+        match outcome {
+            AuthzOutcome::Allow => Ok(true),
+            AuthzOutcome::Deny => Ok(false),
+            // No verdict could be computed under a stable stamp: an
+            // error, never a guess.
+            AuthzOutcome::Fault(why) => Err(KernelError::Core(why)),
         }
     }
 
@@ -931,18 +929,19 @@ impl Nexus {
         match self.route_authz(pid, &opn, object, inline_proof, &cfg)? {
             AuthzRoute::Cached(allow) => Ok(AuthzTicket::ready(outcome_of(allow))),
             AuthzRoute::Submitted(ticket) => Ok(ticket),
-            AuthzRoute::Evaluate(subject) => {
-                let allow =
-                    self.authorize_inline(pid, subject, &opn, object, inline_proof, &cfg)?;
-                Ok(AuthzTicket::ready(outcome_of(allow)))
-            }
+            AuthzRoute::Evaluate => Ok(AuthzTicket::ready(self.evaluate_inline(
+                pid,
+                &opn,
+                object,
+                inline_proof,
+            ))),
         }
     }
 
     /// The shared front half of both authorization entry points:
     /// resolve the subject, probe the decision cache, and submit to
     /// the pipeline when it is running. `Evaluate` means the caller
-    /// must run the guard inline (no pipeline, or it raced a
+    /// must evaluate on its own thread (no pipeline, or it raced a
     /// shutdown).
     fn route_authz(
         &self,
@@ -1013,7 +1012,7 @@ impl Nexus {
                 return Ok(AuthzRoute::Submitted(ticket));
             }
         }
-        Ok(AuthzRoute::Evaluate(subject))
+        Ok(AuthzRoute::Evaluate)
     }
 
     /// Classify a request *before* evaluation: could checking it
@@ -1062,81 +1061,166 @@ impl Nexus {
             }
     }
 
-    /// The inline (caller-thread) authorization path: a single
-    /// request evaluated under a fresh epoch snapshot. `subject` is
-    /// the already-resolved principal of `pid`.
-    fn authorize_inline(
+    /// Evaluate one request on the caller's thread: the n=1 call of
+    /// [`Nexus::evaluate_authz`].
+    fn evaluate_inline(
         &self,
         pid: u64,
-        subject: Principal,
         opn: &OpName,
         object: &ResourceId,
-        inline_proof: Option<&Proof>,
-        cfg: &NexusConfig,
-    ) -> Result<bool, KernelError> {
-        let t0 = self.telemetry.enabled().then(Instant::now);
-        // The read stamp is captured *before* any store read: if any
-        // epoch or publication version moves while the guard runs, the
-        // decision may be stale and must not be cached (insert_if
-        // re-validates under the subregion writer lock).
-        let stamp = self.read_stamp();
-        self.guard_upcalls.fetch_add(1, Ordering::Relaxed);
-        let goal = self
-            .goals
-            .effective_goal(&Self::manager_of(object), object, opn);
-        let mut prepared = vec![self.prepare_request(pid, subject, opn, object, inline_proof, cfg)];
-        let prove_start = t0.map(|_| Instant::now());
-        self.auto_prove_prepared(opn, object, &goal, &mut prepared, cfg);
-        let prove_end = t0.map(|_| Instant::now());
-        let prep = prepared.pop().expect("one prepared request")?;
-        let req = AccessRequest {
-            subject: &prep.subject,
-            operation: opn,
-            object,
-            proof: prep.proof.as_ref(),
-            labels: &prep.labels,
+        proof: Option<&Proof>,
+    ) -> AuthzOutcome {
+        let req = EvalRequest {
+            pid,
+            proof,
+            submitted_at: None,
         };
-        let decision = self.guard.check(&req, &goal, &self.authorities);
-        let verify_end = t0.map(|_| Instant::now());
-        let cacheable = decision.cacheable && (!prep.auto_attempted || decision.allow);
-        if cfg.decision_cache && cacheable {
-            let key = CacheKey {
-                subject: prep.subject.clone(),
-                operation: opn.clone(),
-                object: object.clone(),
-            };
-            self.dcache
-                .insert_if(key, decision.allow, || self.stamp_still_valid(&stamp));
-        }
-        // Inline evaluations are µs-scale and always journaled; the
-        // spans double into the stage histograms so inline and
-        // pipeline traffic share one set of distributions.
-        if let (Some(t0), Some(ps), Some(pe), Some(ve)) = (t0, prove_start, prove_end, verify_end) {
-            let prove_ns = span_ns(ps, pe);
-            let verify_ns = span_ns(pe, ve);
-            let complete_ns = span_ns(t0, Instant::now());
-            let stages = &self.telemetry.stages;
-            stages.record(Stage::Prove, prove_ns);
-            stages.record(Stage::Verify, verify_ns);
-            stages.record(Stage::Complete, complete_ns);
-            let mut ev = audit_event(
-                pid,
-                opn.0.clone(),
-                object.0.clone(),
-                verdict_of(decision.allow),
-                AuditPath::Inline,
-            );
-            ev.epochs = [stamp.epochs.0, stamp.epochs.1, stamp.epochs.2];
-            ev.memo_hits = self.guard.prover_stats().memo_hits;
-            ev.stages.prove_ns = Some(prove_ns);
-            ev.stages.verify_ns = Some(verify_ns);
-            ev.stages.complete_ns = Some(complete_ns);
-            if !decision.allow {
-                ev.refuted = prep.refuted.as_ref().map(|f| f.to_string());
+        self.evaluate_authz(opn, object, &[req], AuditPath::Inline)
+            .pop()
+            .expect("one outcome per request")
+    }
+
+    /// The guard between a request and a verdict (Figure 1) — the one
+    /// evaluator behind both the caller-thread path (a slice of one,
+    /// `AuditPath::Inline`) and the pipeline's coalesced batches
+    /// (`AuditPath::Pipeline`). All of `reqs` target (`opn`, `object`)
+    /// and therefore share its goal: the goal is fetched once,
+    /// requests without a proof are auto-proved through one shared
+    /// prover session, and `Guard::check_batch` amortizes a ground
+    /// goal's normalization across the slice.
+    ///
+    /// No-stale-allow is enforced here and only here. The read stamp
+    /// is captured *before* any store read and re-validated before any
+    /// verdict leaves: if a `setgoal`/`set_proof`/label removal raced
+    /// the guard (completed, or bumped-but-unpublished when we
+    /// stamped) the decisions may rest on dead state and the whole
+    /// slice is re-evaluated. Cache fills re-run the validation inside
+    /// the subregion writer lock (`insert_if`). The retry bound only
+    /// rules out livelock under pathological epoch churn; exhausting
+    /// it *faults* every request rather than guessing a verdict.
+    fn evaluate_authz(
+        &self,
+        opn: &OpName,
+        object: &ResourceId,
+        reqs: &[EvalRequest<'_>],
+        path: AuditPath,
+    ) -> Vec<AuthzOutcome> {
+        const MAX_STAMP_RETRIES: usize = 32;
+        let cfg = self.config();
+        let t0 = self.telemetry.enabled().then(Instant::now);
+        for _ in 0..=MAX_STAMP_RETRIES {
+            let stamp = self.read_stamp();
+            let goal = self
+                .goals
+                .effective_goal(&Self::manager_of(object), object, opn);
+            let mut prepared: Vec<Result<PreparedRequest, KernelError>> = reqs
+                .iter()
+                .map(|r| self.prepare_request(r.pid, opn, object, &goal, r.proof, &cfg))
+                .collect();
+            let prove_start = t0.map(|_| Instant::now());
+            self.auto_prove_prepared(&mut prepared);
+            let prove_end = t0.map(|_| Instant::now());
+            let access: Vec<AccessRequest<'_>> = prepared
+                .iter()
+                .flatten()
+                .map(|p| AccessRequest {
+                    subject: &p.subject,
+                    operation: opn,
+                    object,
+                    proof: p.proof.as_ref(),
+                    labels: &p.labels,
+                })
+                .collect();
+            self.guard_upcalls
+                .fetch_add(access.len() as u64, Ordering::Relaxed);
+            let decisions = self.guard.check_batch(&access, &goal, &self.authorities);
+            if !self.stamp_still_valid(&stamp) {
+                continue;
             }
-            self.telemetry.audit.push(ev);
+            let verify_end = t0.map(|_| Instant::now());
+            let mut decisions = decisions.into_iter();
+            let outcomes: Vec<AuthzOutcome> = prepared
+                .iter()
+                .map(|p| match p {
+                    Ok(p) => {
+                        let decision = decisions.next().expect("one decision per prepared");
+                        // Auto-proved denies are never cached: a later
+                        // `say` could make them allowed, with no
+                        // invalidation hook for label additions.
+                        let cacheable =
+                            decision.cacheable && (p.auto_goal.is_none() || decision.allow);
+                        if cfg.decision_cache && cacheable {
+                            let key = CacheKey {
+                                subject: p.subject.clone(),
+                                operation: opn.clone(),
+                                object: object.clone(),
+                            };
+                            self.dcache
+                                .insert_if(key, decision.allow, || self.stamp_still_valid(&stamp));
+                        }
+                        outcome_of(decision.allow)
+                    }
+                    Err(e) => AuthzOutcome::Fault(e.to_string()),
+                })
+                .collect();
+            // Evaluations are µs-scale and always journaled; the spans
+            // go into the stage histograms so caller-thread and
+            // pipeline traffic share one set of distributions. Only
+            // this final (stamp-valid) attempt is recorded: a retried
+            // attempt's decisions never escape. The two paths differ
+            // in one span each — a ticket waited in a queue (and the
+            // pool times its completion itself), a caller-thread
+            // evaluation completes here.
+            if let (Some(t0), Some(ps), Some(pe), Some(ve)) =
+                (t0, prove_start, prove_end, verify_end)
+            {
+                let prove_ns = span_ns(ps, pe);
+                let verify_ns = span_ns(pe, ve);
+                let complete_ns = (path == AuditPath::Inline).then(|| span_ns(t0, Instant::now()));
+                let stages = &self.telemetry.stages;
+                stages.record(Stage::Prove, prove_ns);
+                stages.record(Stage::Verify, verify_ns);
+                if let Some(ns) = complete_ns {
+                    stages.record(Stage::Complete, ns);
+                }
+                let memo_hits = self.guard.prover_stats().memo_hits;
+                for ((r, p), outcome) in reqs.iter().zip(&prepared).zip(&outcomes) {
+                    let verdict = match outcome {
+                        AuthzOutcome::Allow => AuditVerdict::Allow,
+                        AuthzOutcome::Deny => AuditVerdict::Deny,
+                        AuthzOutcome::Fault(_) => AuditVerdict::Fault,
+                    };
+                    let mut ev = audit_event(r.pid, opn.0.clone(), object.0.clone(), verdict, path);
+                    ev.epochs = [stamp.epochs.0, stamp.epochs.1, stamp.epochs.2];
+                    ev.memo_hits = memo_hits;
+                    ev.stages.queue_wait_ns = r.submitted_at.map(|at| span_ns(at, t0));
+                    ev.stages.prove_ns = Some(prove_ns);
+                    ev.stages.verify_ns = Some(verify_ns);
+                    ev.stages.complete_ns = complete_ns;
+                    if verdict == AuditVerdict::Deny {
+                        ev.refuted = p
+                            .as_ref()
+                            .ok()
+                            .and_then(|p| p.refuted.as_ref())
+                            .map(|f| f.to_string());
+                    }
+                    self.telemetry.audit.push(ev);
+                }
+            }
+            return outcomes;
         }
-        Ok(decision.allow)
+        if t0.is_some() {
+            for r in reqs {
+                self.telemetry.audit.push(audit_event(
+                    r.pid,
+                    opn.0.clone(),
+                    object.0.clone(),
+                    AuditVerdict::Fault,
+                    path,
+                ));
+            }
+        }
+        vec![AuthzOutcome::Fault("authorization could not reach a stable epoch".into()); reqs.len()]
     }
 
     /// Journal a sampled decision-cache hit. Only 1-in-2^shift
@@ -1166,20 +1250,29 @@ impl Nexus {
     }
 
     /// Assemble everything request-specific the guard needs: the
-    /// subject's credentials and the proof to check (inline or
-    /// stored; auto-proving is deferred to
-    /// [`Nexus::auto_prove_prepared`] so batches share one prover
-    /// session). `subject` must be `pid`'s principal, resolved by the
-    /// caller.
+    /// subject (off the lock-free hot index), its credentials, and the
+    /// proof to check (supplied or stored). A request with neither is
+    /// marked for auto-proving by instantiating `goal` for it — the
+    /// search itself is deferred to [`Nexus::auto_prove_prepared`] so a
+    /// slice's searches share one prover session.
     fn prepare_request(
         &self,
         pid: u64,
-        subject: Principal,
         opn: &OpName,
         object: &ResourceId,
-        inline_proof: Option<&Proof>,
+        goal: &Formula,
+        supplied: Option<&Proof>,
         cfg: &NexusConfig,
     ) -> Result<PreparedRequest, KernelError> {
+        // A pid missing from the index (spawned through some path that
+        // bypassed `spawn`) falls back to the locked table.
+        let subject = match self
+            .ipd_hot
+            .read(|m, _| m.get(&pid).map(|h| h.principal.clone()))
+        {
+            Some(subject) => subject,
+            None => self.principal(pid)?,
+        };
         // The subject's credentials: its labelstore plus the request
         // itself, which arrived over the attested syscall channel and
         // is therefore an utterance the kernel can vouch for. The
@@ -1191,98 +1284,65 @@ impl Nexus {
         labels.extend(creds.iter().cloned());
         labels.push(Formula::pred(&opn.0, vec![]).says(subject.clone()));
         labels.push(Formula::pred(&opn.0, vec![Term::sym(object.0.clone())]).says(subject.clone()));
-        let stored = self.proofs.get(&subject, opn, object);
+        let proof = match supplied {
+            Some(p) => Some(p.clone()),
+            None => self.proofs.get(&subject, opn, object),
+        };
         // Auto-proving makes the outcome depend on the subject's label
         // set. Cached allows on that path stay valid because labels
-        // only ever *leave* a store via `transfer_label`, which bumps
-        // the removal epoch and clears the cache; auto-proved denies
-        // are never cached (a later `say` could make them allowed,
-        // with no invalidation hook for additions). The proof itself
-        // is constructed later by [`Nexus::auto_prove_prepared`], so a
-        // batch's searches share one prover session.
-        let auto_attempted = inline_proof.is_none() && stored.is_none() && cfg.auto_prove;
-        let proof = match inline_proof {
-            Some(p) => Some(p.clone()),
-            None => stored,
-        };
+        // only ever *leave* a store via the revocation fence, which
+        // bumps the removal epoch and clears the cache.
+        let auto_goal = (proof.is_none() && cfg.auto_prove).then(|| {
+            let probe = AccessRequest {
+                subject: &subject,
+                operation: opn,
+                object,
+                proof: None,
+                labels: &labels,
+            };
+            Guard::instantiate_goal(goal, &probe)
+        });
         Ok(PreparedRequest {
             subject,
             labels,
             proof,
-            auto_attempted,
+            auto_goal,
             refuted: None,
         })
     }
 
     /// Construct proofs for every prepared request that arrived
-    /// without one (the auto-prove path), routing the whole set
-    /// through the guard's batch prover: one persistent `ProofSearch`
-    /// session whose memo is shared by the batch (and by subsequent
-    /// batches) and flushed whenever the label-removal epoch moves —
-    /// a memoized subgoal can never outlive the credential movement
-    /// that falsified it. `goal` is instantiated per request, since
-    /// `$subject` differs; ground goals instantiate to themselves and
-    /// share one frontier group.
-    ///
-    /// With `cfg.batch_prover` off, falls back to the legacy one-shot
-    /// search per request (the `fig9-prover` baseline).
-    fn auto_prove_prepared(
-        &self,
-        opn: &OpName,
-        object: &ResourceId,
-        goal: &Formula,
-        prepared: &mut [Result<PreparedRequest, KernelError>],
-        cfg: &NexusConfig,
-    ) {
-        let needy: Vec<usize> = prepared
+    /// without one, routing the whole set through the guard's batch
+    /// prover: one persistent `ProofSearch` session whose memo is
+    /// shared by the slice (and by subsequent ones) and flushed
+    /// whenever the label-removal epoch moves — a memoized subgoal can
+    /// never outlive the credential movement that falsified it. Goals
+    /// were instantiated per request (`$subject` differs); ground goals
+    /// instantiate to themselves and share one frontier group.
+    fn auto_prove_prepared(&self, prepared: &mut [Result<PreparedRequest, KernelError>]) {
+        let goals: Vec<BatchGoal<'_>> = prepared
             .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p {
-                Ok(p) if p.auto_attempted && p.proof.is_none() => Some(i),
-                _ => None,
+            .flatten()
+            .filter_map(|p| {
+                p.auto_goal.as_ref().map(|goal| BatchGoal {
+                    goal,
+                    credentials: &p.labels,
+                })
             })
             .collect();
-        if needy.is_empty() {
+        if goals.is_empty() {
             return;
         }
-        let insts: Vec<Formula> = needy
-            .iter()
-            .map(|&i| {
-                let p = prepared[i].as_ref().expect("filtered to Ok");
-                let probe = AccessRequest {
-                    subject: &p.subject,
-                    operation: opn,
-                    object,
-                    proof: None,
-                    labels: &p.labels,
-                };
-                Guard::instantiate_goal(goal, &probe)
-            })
-            .collect();
-        if cfg.batch_prover {
-            let goals: Vec<BatchGoal<'_>> = needy
-                .iter()
-                .zip(&insts)
-                .map(|(&i, inst)| BatchGoal {
-                    goal: inst,
-                    credentials: &prepared[i].as_ref().expect("filtered to Ok").labels,
-                })
-                .collect();
-            let outcomes = self.guard.prove_batch_explained(
-                self.prover_epoch(),
-                &goals,
-                ProverConfig::default(),
-            );
-            for (&i, out) in needy.iter().zip(outcomes) {
-                let p = prepared[i].as_mut().expect("filtered to Ok");
-                p.proof = out.proof;
-                p.refuted = out.refuted;
-            }
-        } else {
-            for (&i, inst) in needy.iter().zip(&insts) {
-                let p = prepared[i].as_mut().expect("filtered to Ok");
-                p.proof = prove(inst, &p.labels, ProverConfig::default());
-            }
+        let outcomes =
+            self.guard
+                .prove_batch_explained(self.prover_epoch(), &goals, ProverConfig::default());
+        let needy = prepared
+            .iter_mut()
+            .flatten()
+            .filter(|p| p.auto_goal.is_some());
+        for (p, out) in needy.zip(outcomes) {
+            p.proof = out.proof;
+            p.refuted = out.refuted;
         }
     }
 
@@ -1425,149 +1485,6 @@ impl Nexus {
         if let Some(pool) = self.authz_pool() {
             pool.quiesce();
         }
-    }
-
-    /// Evaluate one coalesced batch (all requests share `key`'s
-    /// (operation, object, label shape) triple and therefore its
-    /// goal). The goal is fetched once; requests without a proof are
-    /// auto-proved through one shared prover session
-    /// (`Guard::prove_batch`); `Guard::check_batch` amortizes the
-    /// goal's normalization across the batch; the epoch fence
-    /// re-evaluates the whole batch if goals/proofs/labels moved while
-    /// the guard ran.
-    fn evaluate_authz_batch(&self, key: &BatchKey, reqs: &[AuthzRequest]) -> Vec<AuthzOutcome> {
-        let (opn, object) = (&key.op, &key.object);
-        let cfg = self.config();
-        let eval_start = self.telemetry.enabled().then(Instant::now);
-        // Bounded only to rule out livelock under pathological epoch
-        // churn; in that case the batch *faults* rather than letting a
-        // possibly-stale allow escape.
-        const MAX_FENCE_RETRIES: usize = 32;
-        for _ in 0..=MAX_FENCE_RETRIES {
-            let stamp = self.read_stamp();
-            let goal = self
-                .goals
-                .effective_goal(&Self::manager_of(object), object, opn);
-            let mut prepared: Vec<Result<PreparedRequest, KernelError>> = reqs
-                .iter()
-                .map(|r| {
-                    let subject = self.principal(r.pid)?;
-                    self.prepare_request(r.pid, subject, opn, object, r.proof.as_ref(), &cfg)
-                })
-                .collect();
-            let prove_start = eval_start.map(|_| Instant::now());
-            self.auto_prove_prepared(opn, object, &goal, &mut prepared, &cfg);
-            let prove_end = eval_start.map(|_| Instant::now());
-            let ok_indices: Vec<usize> = prepared
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.is_ok().then_some(i))
-                .collect();
-            let access: Vec<AccessRequest<'_>> = ok_indices
-                .iter()
-                .map(|&i| {
-                    let p = prepared[i].as_ref().expect("filtered to Ok");
-                    AccessRequest {
-                        subject: &p.subject,
-                        operation: opn,
-                        object,
-                        proof: p.proof.as_ref(),
-                        labels: &p.labels,
-                    }
-                })
-                .collect();
-            self.guard_upcalls
-                .fetch_add(access.len() as u64, Ordering::Relaxed);
-            let decisions = self.guard.check_batch(&access, &goal, &self.authorities);
-            if !self.stamp_still_valid(&stamp) {
-                // A setgoal/set_proof/transfer_label raced the batch
-                // (completed, or bumped-but-unpublished when we
-                // stamped): the decisions may rest on dead state.
-                // Re-evaluate.
-                continue;
-            }
-            let verify_end = eval_start.map(|_| Instant::now());
-            let mut outcomes: Vec<Option<AuthzOutcome>> = vec![None; reqs.len()];
-            for (&i, decision) in ok_indices.iter().zip(&decisions) {
-                let p = prepared[i].as_ref().expect("filtered to Ok");
-                let cacheable = decision.cacheable && (!p.auto_attempted || decision.allow);
-                if cfg.decision_cache && cacheable {
-                    let ck = CacheKey {
-                        subject: p.subject.clone(),
-                        operation: opn.clone(),
-                        object: object.clone(),
-                    };
-                    self.dcache
-                        .insert_if(ck, decision.allow, || self.stamp_still_valid(&stamp));
-                }
-                outcomes[i] = Some(outcome_of(decision.allow));
-            }
-            for (i, p) in prepared.iter().enumerate() {
-                if let Err(e) = p {
-                    outcomes[i] = Some(AuthzOutcome::Fault(e.to_string()));
-                }
-            }
-            // Spans are recorded only for the *final* (stamp-valid)
-            // attempt: a retried attempt's decisions never escape, so
-            // its timings would skew the distributions with work the
-            // caller never observed.
-            if let (Some(t0), Some(ps), Some(pe), Some(ve)) =
-                (eval_start, prove_start, prove_end, verify_end)
-            {
-                let prove_ns = span_ns(ps, pe);
-                let verify_ns = span_ns(pe, ve);
-                self.telemetry.stages.record(Stage::Prove, prove_ns);
-                self.telemetry.stages.record(Stage::Verify, verify_ns);
-                let epochs = [stamp.epochs.0, stamp.epochs.1, stamp.epochs.2];
-                let memo_hits = self.guard.prover_stats().memo_hits;
-                for (i, (r, outcome)) in reqs.iter().zip(&outcomes).enumerate() {
-                    let verdict = match outcome.as_ref().expect("every request resolved") {
-                        AuthzOutcome::Allow => AuditVerdict::Allow,
-                        AuthzOutcome::Deny => AuditVerdict::Deny,
-                        AuthzOutcome::Fault(_) => AuditVerdict::Fault,
-                    };
-                    let mut ev = audit_event(
-                        r.pid,
-                        opn.0.clone(),
-                        object.0.clone(),
-                        verdict,
-                        AuditPath::Pipeline,
-                    );
-                    ev.epochs = epochs;
-                    ev.memo_hits = memo_hits;
-                    ev.stages.queue_wait_ns = r.submitted_at.map(|at| span_ns(at, t0));
-                    ev.stages.prove_ns = Some(prove_ns);
-                    ev.stages.verify_ns = Some(verify_ns);
-                    if verdict == AuditVerdict::Deny {
-                        ev.refuted = prepared[i]
-                            .as_ref()
-                            .ok()
-                            .and_then(|p| p.refuted.as_ref())
-                            .map(|f| f.to_string());
-                    }
-                    self.telemetry.audit.push(ev);
-                }
-            }
-            return outcomes
-                .into_iter()
-                .map(|o| o.expect("every request resolved"))
-                .collect();
-        }
-        if self.telemetry.enabled() {
-            for r in reqs {
-                self.telemetry.audit.push(audit_event(
-                    r.pid,
-                    opn.0.clone(),
-                    object.0.clone(),
-                    AuditVerdict::Fault,
-                    AuditPath::Pipeline,
-                ));
-            }
-        }
-        vec![
-            AuthzOutcome::Fault("authorization batch could not reach a stable epoch".into());
-            reqs.len()
-        ]
     }
 
     /// Decision-cache statistics.
@@ -2146,9 +2063,8 @@ impl Nexus {
     }
 
     /// Resize the kernel decision cache at runtime (§2.8) — used by
-    /// the associativity ablation (Figure 4 hit-rate deltas) and the
-    /// fig9 A/B harness to flip between the seqlock and mutexed read
-    /// paths. The fence afterwards drains evaluations that may still
+    /// the associativity ablation (Figure 4 hit-rate deltas). The
+    /// fence afterwards drains evaluations that may still
     /// be filling the superseded table, so no decision computed before
     /// the resize lands unvalidated in the new one.
     pub fn resize_decision_cache(&self, cfg: DecisionCacheConfig) {
@@ -2163,8 +2079,18 @@ enum AuthzRoute {
     Cached(bool),
     /// Submitted to the running pipeline.
     Submitted(AuthzTicket),
-    /// Caller evaluates inline with this already-resolved subject.
-    Evaluate(Principal),
+    /// Caller evaluates on its own thread.
+    Evaluate,
+}
+
+/// One request as [`Nexus::evaluate_authz`] sees it; the operation and
+/// object are shared by the whole slice.
+struct EvalRequest<'a> {
+    pid: u64,
+    /// An explicitly supplied proof (otherwise stored, else auto-proved).
+    proof: Option<&'a Proof>,
+    /// When a pipeline submitter stamped the request (telemetry only).
+    submitted_at: Option<Instant>,
 }
 
 /// Everything request-specific the guard consumes, assembled once per
@@ -2173,12 +2099,13 @@ struct PreparedRequest {
     subject: Principal,
     labels: Vec<Formula>,
     proof: Option<Proof>,
-    auto_attempted: bool,
+    /// The goal instantiated for this request, present exactly when it
+    /// arrived without a supplied or stored proof and auto-proving is
+    /// on — `proof` is then whatever the prover constructed.
+    auto_goal: Option<Formula>,
     /// For auto-proved requests whose search failed: the deepest
     /// subgoal the prover refuted (the "why" behind a deny), carried
-    /// into the audit journal. `None` when the proof succeeded, the
-    /// request supplied/stored a proof, or the legacy one-shot prover
-    /// ran.
+    /// into the audit journal.
     refuted: Option<Formula>,
 }
 
@@ -2307,7 +2234,17 @@ struct NexusExecutor {
 impl BatchExecutor for NexusExecutor {
     fn execute_batch(&self, key: &BatchKey, reqs: &[AuthzRequest]) -> Vec<AuthzOutcome> {
         match self.kernel.upgrade() {
-            Some(kernel) => kernel.evaluate_authz_batch(key, reqs),
+            Some(kernel) => {
+                let reqs: Vec<EvalRequest<'_>> = reqs
+                    .iter()
+                    .map(|r| EvalRequest {
+                        pid: r.pid,
+                        proof: r.proof.as_ref(),
+                        submitted_at: r.submitted_at,
+                    })
+                    .collect();
+                kernel.evaluate_authz(&key.op, &key.object, &reqs, AuditPath::Pipeline)
+            }
             None => vec![AuthzOutcome::Fault("kernel torn down".into()); reqs.len()],
         }
     }

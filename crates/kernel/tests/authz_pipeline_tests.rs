@@ -77,6 +77,9 @@ fn async_ticket_poll_wait_and_callback() {
         fired2.store(true, Ordering::SeqCst);
     });
     assert_eq!(ticket.wait(), AuthzOutcome::Allow);
+    // The worker publishes the outcome (releasing `wait`) and *then*
+    // runs the callbacks, so give it the moment it may still need.
+    spin_until(10, "completion callback", || fired.load(Ordering::SeqCst));
     assert!(fired.load(Ordering::SeqCst));
     // A second authorization for the same tuple hits the decision
     // cache and comes back already resolved.

@@ -2,7 +2,8 @@
 //! metrics snapshot, the per-stage latency histograms, and the
 //! decision audit journal — in particular that a denied request's
 //! journal entry carries the subgoal the prover refuted, on both the
-//! inline and the pipelined path.
+//! inline and the pipelined path, which are two callers of one
+//! evaluator.
 
 use nexus_core::ResourceId;
 use nexus_kernel::{
@@ -55,6 +56,17 @@ fn grant_g_only(nexus: &Nexus, pid: u64) {
         .unwrap();
     nexus
         .kernel_label(pid, Principal::name("Gate"), parse("g").unwrap())
+        .unwrap();
+}
+
+/// Credentials that discharge the whole conjunction.
+fn grant_g_and_h(nexus: &Nexus, pid: u64) {
+    grant_g_only(nexus, pid);
+    nexus
+        .kernel_label(pid, Principal::name("Gate"), parse("h").unwrap())
+        .unwrap();
+    nexus
+        .kernel_label(pid, Principal::name("Owner"), parse("Gate says h").unwrap())
         .unwrap();
 }
 
@@ -120,6 +132,54 @@ fn pipelined_denial_journals_the_refuted_subgoal() {
 }
 
 #[test]
+fn one_evaluator_serves_the_caller_thread_and_the_pipeline_alike() {
+    // The same world through both callers of the one evaluator: same
+    // verdicts, same refuted subgoal, and journal entries that differ
+    // only in the path tag and the one span each path owns.
+    let nexus = boot_with(NexusConfig::default());
+    let object = conjunctive_world(&nexus);
+    let evaluate = |tag: &str| {
+        // Fresh subjects per path, so the decision cache cannot answer.
+        let half = nexus.spawn(&format!("half-{tag}"), b"img");
+        grant_g_only(&nexus, half);
+        let full = nexus.spawn(&format!("full-{tag}"), b"img");
+        grant_g_and_h(&nexus, full);
+        let verdicts = [half, full].map(|pid| nexus.authorize(pid, "op", &object).unwrap());
+        let journal = nexus.audit_recent(64);
+        let event = |pid: u64| {
+            journal
+                .iter()
+                .find(|e| e.pid == pid && !e.cache_hit)
+                .expect("every evaluation is journaled")
+                .clone()
+        };
+        (verdicts, event(half), event(full))
+    };
+    let (inline_verdicts, inline_deny, inline_allow) = evaluate("inline");
+    let pool = nexus.start_authz_pipeline(GuardPoolConfig::default());
+    let (piped_verdicts, piped_deny, piped_allow) = evaluate("piped");
+    pool.quiesce();
+
+    assert_eq!(inline_verdicts, [false, true]);
+    assert_eq!(piped_verdicts, inline_verdicts);
+    assert_refuted_is_owner_says_h(inline_deny.refuted.as_deref());
+    assert_eq!(piped_deny.refuted, inline_deny.refuted);
+    assert!(inline_allow.refuted.is_none() && piped_allow.refuted.is_none());
+    for (inline, piped) in [(&inline_deny, &piped_deny), (&inline_allow, &piped_allow)] {
+        assert_eq!(inline.verdict, piped.verdict);
+        assert_eq!(inline.path, AuditPath::Inline);
+        assert_eq!(piped.path, AuditPath::Pipeline);
+        for ev in [inline, piped] {
+            assert!(ev.stages.prove_ns.is_some() && ev.stages.verify_ns.is_some());
+        }
+        assert!(inline.stages.complete_ns.is_some() && inline.stages.queue_wait_ns.is_none());
+        assert!(piped.stages.queue_wait_ns.is_some() && piped.stages.complete_ns.is_none());
+    }
+    // Every guard check, on either path, went through the one upcall site.
+    assert_eq!(nexus.guard_stats().checks, nexus.guard_upcalls());
+}
+
+#[test]
 fn sampled_cache_hits_are_journaled_with_their_span() {
     // shift 0 ⇒ every hit sampled.
     let nexus = boot_with(NexusConfig {
@@ -131,17 +191,7 @@ fn sampled_cache_hits_are_journaled_with_their_span() {
     });
     let object = conjunctive_world(&nexus);
     let owner_like = nexus.spawn("lucky", b"img");
-    grant_g_only(&nexus, owner_like);
-    nexus
-        .kernel_label(owner_like, Principal::name("Gate"), parse("h").unwrap())
-        .unwrap();
-    nexus
-        .kernel_label(
-            owner_like,
-            Principal::name("Owner"),
-            parse("Gate says h").unwrap(),
-        )
-        .unwrap();
+    grant_g_and_h(&nexus, owner_like);
     // First authorize misses and (if allowed) caches; second hits.
     let first = nexus.authorize(owner_like, "op", &object).unwrap();
     assert!(first, "world must make the full conjunction derivable");
