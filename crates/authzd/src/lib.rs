@@ -14,7 +14,7 @@
 //!  submit(req) ──► admission ──► embedded lane ──► N workers ─┐ pop + coalesce
 //!       │          (high-water   external lane ──► M workers ─┤ by (op, object,
 //!       │           mark:                (AuthorityKind::     │     label shape)
-//!       │           Reject/Block)         External batches)   ▼
+//!       │           fault)                External batches)   ▼
 //!       ▼                                            BatchExecutor::execute_batch
 //!  AuthzTicket ◄───────────── complete ◄─────────── (goal fetched & normalized
 //!  (poll / wait / callback,                          once per batch; epoch-fenced
@@ -25,12 +25,10 @@
 //! syscall, so the pipeline must never wedge):
 //!
 //! * **Bounded admission** — each lane's queue has a high-water mark
-//!   ([`GuardPoolConfig::max_queued`]); past it, submission either
-//!   faults immediately ([`OverflowPolicy::Reject`] — the kernel's
-//!   sync path treats the fault as "fall back to inline evaluation")
-//!   or blocks the submitter until space frees
-//!   ([`OverflowPolicy::Block`], for async callers that opt in).
-//!   No request ever waits unboundedly in the queue.
+//!   ([`GuardPoolConfig::max_queued`]); past it, submission faults
+//!   immediately (the kernel's sync path treats the fault as "fall
+//!   back to inline evaluation"). No request ever waits unboundedly
+//!   in the queue, and no submitter is ever parked.
 //! * **Authority isolation** — requests whose evaluation may query an
 //!   external (`nexus-core` `AuthorityKind::External`) authority,
 //!   classified by the kernel before submission via
@@ -53,7 +51,7 @@
 pub mod pool;
 pub mod ticket;
 
-pub use pool::{BatchExecutor, GuardPool, GuardPoolConfig, OverflowPolicy, PoolStats};
+pub use pool::{BatchExecutor, GuardPool, GuardPoolConfig, PoolStats};
 pub use ticket::{AuthzOutcome, AuthzTicket};
 
 use nexus_core::{OpName, ResourceId};

@@ -11,16 +11,16 @@
 //! submitting process's credential set — so the executor's batch
 //! prover sees maximal frontier sharing: every member of a batch
 //! shares one (goal, credential-shape) pair and auto-proved requests
-//! ride one proof search ([`PoolStats::prover_memo_hits`]).
+//! ride one proof search.
 //!
 //! Admission is bounded and authorities are isolated: see the crate
-//! docs for the two liveness properties ([`GuardPoolConfig::max_queued`]
-//! with [`OverflowPolicy`], and the external lane sized by
+//! docs for the two liveness properties ([`GuardPoolConfig::max_queued`],
+//! and the external lane sized by
 //! [`GuardPoolConfig::external_workers`]).
 
 use crate::ticket::{AuthzOutcome, AuthzTicket, TicketInner};
 use crate::{AuthzRequest, BatchKey};
-use nexus_obs::{Stage, StageTimers};
+use nexus_obs::{Collect, MetricsRegistry, Stage, StageTimers};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,35 +37,12 @@ pub trait BatchExecutor: Send + Sync {
     /// flight, it must re-evaluate rather than let a stale allow
     /// escape.
     fn execute_batch(&self, key: &BatchKey, reqs: &[AuthzRequest]) -> Vec<AuthzOutcome>;
-
-    /// Cumulative (hits, misses) of the executor's batch-prover memo,
-    /// surfaced in [`PoolStats::prover_memo_hits`] /
-    /// [`PoolStats::prover_memo_misses`]. Executors without a prover
-    /// (test doubles) keep the default `(0, 0)`.
-    fn prover_memo_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
 }
 
 /// Priority for queue ordering: higher runs first. The kernel wires
 /// this to per-IPD scheduler weights so heavyweight tenants' batches
 /// are picked up before lightweights' when the queue backs up.
 pub type Prioritizer = Arc<dyn Fn(&AuthzRequest) -> u64 + Send + Sync>;
-
-/// What happens to a submission that finds its lane's queue at the
-/// high-water mark ([`GuardPoolConfig::max_queued`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Resolve the ticket immediately to [`AuthzOutcome::Fault`]. The
-    /// kernel's sync path treats the fault as "pipeline unavailable"
-    /// and evaluates inline, so overload sheds to the caller's own
-    /// thread instead of growing the queue without bound.
-    Reject,
-    /// Block the submitting thread until a worker drains the lane
-    /// below the mark (or the pool shuts down). For async callers
-    /// that prefer back-pressure over faults.
-    Block,
-}
 
 /// Pool configuration.
 #[derive(Clone)]
@@ -77,11 +54,12 @@ pub struct GuardPoolConfig {
     /// Optional request prioritizer (None = FIFO).
     pub prioritizer: Option<Prioritizer>,
     /// High-water mark per lane: a submission that would leave more
-    /// than this many requests queued in its lane triggers the
-    /// overflow policy. `usize::MAX` restores unbounded queues.
+    /// than this many requests queued in its lane is not admitted —
+    /// its ticket resolves immediately to [`AuthzOutcome::Fault`]
+    /// (the kernel's sync path then evaluates on the caller's thread,
+    /// so overload sheds to the submitter instead of growing the
+    /// queue without bound). `usize::MAX` restores unbounded queues.
     pub max_queued: usize,
-    /// What to do with a submission past the high-water mark.
-    pub overflow: OverflowPolicy,
     /// Workers dedicated to requests classified as external-authority
     /// -touching ([`AuthzRequest::external`]). `0` disables the lane:
     /// external requests then share the embedded queue and a stuck
@@ -105,7 +83,6 @@ impl Default for GuardPoolConfig {
             max_batch: 64,
             prioritizer: None,
             max_queued: 4096,
-            overflow: OverflowPolicy::Reject,
             external_workers: 1,
             stage_timers: None,
         }
@@ -119,7 +96,6 @@ impl std::fmt::Debug for GuardPoolConfig {
             .field("max_batch", &self.max_batch)
             .field("prioritizer", &self.prioritizer.is_some())
             .field("max_queued", &self.max_queued)
-            .field("overflow", &self.overflow)
             .field("external_workers", &self.external_workers)
             .field("stage_timers", &self.stage_timers.is_some())
             .finish()
@@ -140,9 +116,8 @@ pub struct PoolStats {
     pub coalesced: u64,
     /// Largest batch observed.
     pub max_batch_seen: u64,
-    /// Submissions refused at the high-water mark under
-    /// [`OverflowPolicy::Reject`] (resolved to faults, never queued;
-    /// not counted in `submitted`).
+    /// Submissions refused at the high-water mark (resolved to
+    /// faults, never queued; not counted in `submitted`).
     pub rejected: u64,
     /// Batches executed on the external-authority lane.
     pub external_batches: u64,
@@ -153,16 +128,72 @@ pub struct PoolStats {
     /// the worker survived — an unwinding worker would strand every
     /// ticket queued behind it and wedge the quiesce fence).
     pub executor_panics: u64,
-    /// Prover-memo subgoal hits reported by the executor (auto-proved
-    /// requests whose derivations were spliced instead of searched).
-    pub prover_memo_hits: u64,
-    /// Prover-memo subgoal misses reported by the executor.
-    pub prover_memo_misses: u64,
     /// Requests currently queued on the embedded lane (a gauge, not a
     /// counter: admitted minus popped at snapshot time).
     pub embedded_depth: u64,
     /// Requests currently queued on the external lane (gauge).
     pub external_depth: u64,
+}
+
+impl Collect for PoolStats {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        let gauge = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
+        r.counter(
+            "nexus_authz_submitted_total",
+            "pipeline submissions",
+            self.submitted,
+        )
+        .counter(
+            "nexus_authz_completed_total",
+            "pipeline completions",
+            self.completed,
+        )
+        .counter(
+            "nexus_authz_batches_total",
+            "pipeline batches",
+            self.batches,
+        )
+        .counter(
+            "nexus_authz_coalesced_total",
+            "requests coalesced into an existing batch",
+            self.coalesced,
+        )
+        .counter(
+            "nexus_authz_rejected_total",
+            "submissions shed at the high-water mark",
+            self.rejected,
+        )
+        .counter(
+            "nexus_authz_external_batches_total",
+            "batches run on the external lane",
+            self.external_batches,
+        )
+        .counter(
+            "nexus_authz_callback_panics_total",
+            "ticket callbacks that panicked",
+            self.callback_panics,
+        )
+        .counter(
+            "nexus_authz_executor_panics_total",
+            "batches whose executor panicked",
+            self.executor_panics,
+        )
+        .gauge(
+            "nexus_authz_max_batch_seen",
+            "largest batch observed",
+            gauge(self.max_batch_seen),
+        )
+        .gauge(
+            "nexus_authz_embedded_depth",
+            "embedded-lane backlog (queued requests)",
+            gauge(self.embedded_depth),
+        )
+        .gauge(
+            "nexus_authz_external_depth",
+            "external-lane backlog (queued requests)",
+            gauge(self.external_depth),
+        );
+    }
 }
 
 struct Pending {
@@ -221,13 +252,10 @@ struct Shared {
     work: Condvar,
     /// Wakes external-lane workers on submit/shutdown.
     ext_work: Condvar,
-    /// Wakes [`OverflowPolicy::Block`] submitters when a lane drains.
-    space: Condvar,
     /// Wakes `quiesce` waiters on completion.
     drained: Condvar,
     cfg_max_batch: usize,
     max_queued: usize,
-    overflow: OverflowPolicy,
     external_workers: usize,
     prioritizer: Option<Prioritizer>,
     submitted: AtomicU64,
@@ -303,8 +331,6 @@ impl Shared {
 /// ```
 pub struct GuardPool {
     shared: Arc<Shared>,
-    /// Kept for [`BatchExecutor::prover_memo_stats`] polling.
-    executor: Arc<dyn BatchExecutor>,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -316,11 +342,9 @@ impl GuardPool {
             queue: Mutex::new(Queue::default()),
             work: Condvar::new(),
             ext_work: Condvar::new(),
-            space: Condvar::new(),
             drained: Condvar::new(),
             cfg_max_batch: cfg.max_batch.max(1),
             max_queued: cfg.max_queued.max(1),
-            overflow: cfg.overflow,
             external_workers: cfg.external_workers,
             prioritizer: cfg.prioritizer.clone(),
             submitted: AtomicU64::new(0),
@@ -355,7 +379,6 @@ impl GuardPool {
             .collect();
         GuardPool {
             shared,
-            executor,
             workers: Mutex::new(workers),
         }
     }
@@ -376,10 +399,10 @@ impl GuardPool {
     /// holding the queue mutex.
     ///
     /// Admission is bounded: a submission that finds its lane at the
-    /// high-water mark is rejected (ticket already resolved to
-    /// [`AuthzOutcome::Fault`]) or blocks until space frees, per
-    /// [`GuardPoolConfig::overflow`]. External-classified requests go
-    /// to the external lane when one is configured.
+    /// high-water mark ([`GuardPoolConfig::max_queued`]) is rejected —
+    /// its ticket comes back already resolved to
+    /// [`AuthzOutcome::Fault`]. External-classified requests go to
+    /// the external lane when one is configured.
     pub fn try_submit(&self, req: AuthzRequest) -> Option<AuthzTicket> {
         let shared = &self.shared;
         let lane = if req.external && shared.external_workers > 0 {
@@ -395,26 +418,16 @@ impl GuardPool {
         if queue.shutdown {
             return None;
         }
-        while queue.lane(lane).len() >= shared.max_queued {
-            match shared.overflow {
-                OverflowPolicy::Reject => {
-                    shared.rejected.fetch_add(1, Ordering::SeqCst);
-                    return Some(AuthzTicket::ready(AuthzOutcome::Fault(format!(
-                        "authzd {} queue at high-water mark ({})",
-                        match lane {
-                            Lane::Embedded => "embedded",
-                            Lane::External => "external",
-                        },
-                        shared.max_queued
-                    ))));
-                }
-                OverflowPolicy::Block => {
-                    queue = shared.space.wait(queue).expect("authzd space wait");
-                    if queue.shutdown {
-                        return None;
-                    }
-                }
-            }
+        if queue.lane(lane).len() >= shared.max_queued {
+            shared.rejected.fetch_add(1, Ordering::SeqCst);
+            return Some(AuthzTicket::ready(AuthzOutcome::Fault(format!(
+                "authzd {} queue at high-water mark ({})",
+                match lane {
+                    Lane::Embedded => "embedded",
+                    Lane::External => "external",
+                },
+                shared.max_queued
+            ))));
         }
         let inner = TicketInner::new();
         let ticket = AuthzTicket::from_inner(Arc::clone(&inner));
@@ -459,10 +472,7 @@ impl GuardPool {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> PoolStats {
-        let (prover_memo_hits, prover_memo_misses) = self.executor.prover_memo_stats();
         PoolStats {
-            prover_memo_hits,
-            prover_memo_misses,
             submitted: self.shared.submitted.load(Ordering::SeqCst),
             completed: self.shared.completed.load(Ordering::SeqCst),
             batches: self.shared.batches.load(Ordering::SeqCst),
@@ -478,7 +488,7 @@ impl GuardPool {
     }
 
     /// Stop accepting work, fault out everything still queued on both
-    /// lanes, release blocked submitters, and join the workers.
+    /// lanes, and join the workers.
     /// Idempotent.
     pub fn shutdown(&self) {
         let leftovers: Vec<Pending> = {
@@ -497,7 +507,6 @@ impl GuardPool {
         };
         self.shared.work.notify_all();
         self.shared.ext_work.notify_all();
-        self.shared.space.notify_all();
         let n = leftovers.len() as u64;
         let mut panics = 0u64;
         for p in leftovers {
@@ -594,11 +603,6 @@ fn pop_batch(shared: &Shared, lane: Lane) -> Option<(BatchKey, Vec<Pending>)> {
             .depth(lane)
             .fetch_sub(batch.len() as u64, Ordering::Relaxed);
         drop(queue);
-        // The lane just lost at least one entry: admit any submitter
-        // blocked at the high-water mark.
-        if shared.overflow == OverflowPolicy::Block {
-            shared.space.notify_all();
-        }
         // Queue-wait per member (enqueue → this pop), plus one
         // batch-assembly span for the whole scan.
         if let (Some(timers), Some(start)) = (shared.timers(), assembly_start) {
@@ -908,30 +912,6 @@ mod tests {
             stats.batches >= 2,
             "two shapes cannot share one batch: {stats:?}"
         );
-        // And the default executor reports no prover memo activity.
-        assert_eq!(stats.prover_memo_hits, 0);
-        assert_eq!(stats.prover_memo_misses, 0);
-    }
-
-    #[test]
-    fn executor_prover_stats_surface_in_pool_stats() {
-        struct CountingExecutor;
-        impl BatchExecutor for CountingExecutor {
-            fn execute_batch(&self, _k: &BatchKey, reqs: &[AuthzRequest]) -> Vec<AuthzOutcome> {
-                vec![AuthzOutcome::Allow; reqs.len()]
-            }
-            fn prover_memo_stats(&self) -> (u64, u64) {
-                (42, 7)
-            }
-        }
-        let pool = GuardPool::new(GuardPoolConfig::default(), Arc::new(CountingExecutor));
-        assert_eq!(
-            pool.submit(req(0, "read", "file:/a")).wait(),
-            AuthzOutcome::Allow
-        );
-        let stats = pool.stats();
-        assert_eq!(stats.prover_memo_hits, 42);
-        assert_eq!(stats.prover_memo_misses, 7);
     }
 
     #[test]
@@ -1261,7 +1241,6 @@ mod tests {
                 workers: 1,
                 max_batch: 1,
                 max_queued: 2,
-                overflow: OverflowPolicy::Reject,
                 external_workers: 0,
                 ..Default::default()
             },
@@ -1292,76 +1271,6 @@ mod tests {
     }
 
     #[test]
-    fn block_policy_holds_submitter_until_space_frees() {
-        let exec = GateExecutor::new();
-        let pool = Arc::new(GuardPool::new(
-            GuardPoolConfig {
-                workers: 1,
-                max_batch: 1,
-                max_queued: 1,
-                overflow: OverflowPolicy::Block,
-                external_workers: 0,
-                ..Default::default()
-            },
-            Arc::clone(&exec) as Arc<dyn BatchExecutor>,
-        ));
-        let in_flight = pool.submit(req(0, "read", "file:/0"));
-        exec.await_entered(1);
-        let queued = pool.submit(req(2, "read", "file:/1")); // lane now full
-        let blocked_done = Arc::new(AtomicBool::new(false));
-        let submitter = {
-            let pool = Arc::clone(&pool);
-            let done = Arc::clone(&blocked_done);
-            std::thread::spawn(move || {
-                let t = pool.submit(req(4, "read", "file:/2"));
-                done.store(true, Ordering::SeqCst);
-                t.wait()
-            })
-        };
-        // The submitter must be parked on the space condvar, not
-        // faulted and not admitted.
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(
-            !blocked_done.load(Ordering::SeqCst),
-            "Block-policy submitter returned while the lane was full"
-        );
-        assert_eq!(pool.stats().rejected, 0);
-        exec.release();
-        assert_eq!(submitter.join().unwrap(), AuthzOutcome::Allow);
-        assert_eq!(in_flight.wait(), AuthzOutcome::Allow);
-        assert_eq!(queued.wait(), AuthzOutcome::Allow);
-    }
-
-    #[test]
-    fn blocked_submitter_released_by_shutdown() {
-        let exec = GateExecutor::new();
-        let pool = Arc::new(GuardPool::new(
-            GuardPoolConfig {
-                workers: 1,
-                max_batch: 1,
-                max_queued: 1,
-                overflow: OverflowPolicy::Block,
-                external_workers: 0,
-                ..Default::default()
-            },
-            Arc::clone(&exec) as Arc<dyn BatchExecutor>,
-        ));
-        let _in_flight = pool.submit(req(0, "read", "file:/0"));
-        exec.await_entered(1);
-        let _queued = pool.submit(req(2, "read", "file:/1"));
-        let submitter = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || pool.submit(req(4, "read", "file:/2")).wait())
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        exec.release(); // shutdown joins workers; don't leave them gated
-        pool.shutdown();
-        // The blocked submitter observed the shutdown and faulted
-        // rather than hanging forever.
-        assert!(matches!(submitter.join().unwrap(), AuthzOutcome::Fault(_)));
-    }
-
-    #[test]
     fn stuck_external_batch_leaves_embedded_lane_flowing() {
         // One stuck external authority may occupy at most the
         // external workers: embedded traffic must keep completing
@@ -1376,7 +1285,6 @@ mod tests {
                 workers: 2,
                 max_batch: 1,
                 max_queued: 2,
-                overflow: OverflowPolicy::Reject,
                 external_workers: 1,
                 ..Default::default()
             },

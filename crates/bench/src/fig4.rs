@@ -157,88 +157,6 @@ pub fn run(iters: u64) -> Vec<Point> {
         .collect()
 }
 
-/// One decision-cache configuration's outcome under the Fauxbook-
-/// shaped workload.
-#[derive(Debug, Clone)]
-pub struct AssocPoint {
-    /// Set associativity within a subregion.
-    pub ways: usize,
-    /// Decision-cache hits.
-    pub hits: u64,
-    /// Decision-cache misses.
-    pub misses: u64,
-}
-
-impl AssocPoint {
-    /// hits / (hits + misses).
-    pub fn hit_rate(&self) -> f64 {
-        self.hits as f64 / (self.hits + self.misses).max(1) as f64
-    }
-}
-
-/// The Figure-4 hit-rate ablation (ROADMAP): does 2-way subregion
-/// associativity move the decision-cache hit rate under a Fauxbook
-/// workload? The access pattern mirrors friends polling walls: per
-/// wall, two *hot* followers re-read every round while a cold tail
-/// drops by occasionally. On a direct-mapped table a hot follower
-/// colliding with anyone thrashes every round; a 2-way set with
-/// least-recently-touched eviction keeps the hot pair resident.
-pub fn associativity(rounds: u64) -> Vec<AssocPoint> {
-    const WALLS: usize = 8;
-    const HOT: usize = 2;
-    const COLD: usize = 10;
-    [1usize, 2]
-        .into_iter()
-        .map(|ways| {
-            let nexus = boot_with(NexusConfig::default());
-            // A deliberately small cache so the follower working set
-            // conflicts, as Fauxbook's real table would under load.
-            nexus.resize_decision_cache(nexus_core::DecisionCacheConfig {
-                total_slots: 64,
-                subregion_slots: 8,
-                ways,
-            });
-            let owner = nexus.spawn("fauxbook", b"img");
-            let mut walls = Vec::new();
-            for w in 0..WALLS {
-                let path = format!("/fauxbook/user{w}/wall");
-                nexus.fs_create(owner, &path).unwrap();
-                let object = ResourceId::file(&path);
-                nexus
-                    .sys_setgoal(
-                        owner,
-                        object.clone(),
-                        "read",
-                        parse(&format!("$subject says read(file:{path})")).unwrap(),
-                    )
-                    .unwrap();
-                let followers: Vec<u64> = (0..HOT + COLD)
-                    .map(|f| nexus.spawn(&format!("friend-{w}-{f}"), b"img"))
-                    .collect();
-                walls.push((object, followers));
-            }
-            let before = nexus.decision_cache_stats();
-            for round in 0..rounds {
-                for (object, followers) in &walls {
-                    for (f, &pid) in followers.iter().enumerate() {
-                        // Hot followers poll every round; the cold
-                        // tail shows up every eighth.
-                        if f < HOT || round % 8 == f as u64 % 8 {
-                            assert!(nexus.authorize(pid, "read", object).unwrap());
-                        }
-                    }
-                }
-            }
-            let after = nexus.decision_cache_stats();
-            AssocPoint {
-                ways,
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,19 +183,6 @@ mod tests {
         // External authority costs more than embedded (uncached).
         let embed = by("embed auth");
         assert!(auth.uncached_ns > embed.uncached_ns * 0.8);
-    }
-
-    #[test]
-    fn two_way_associativity_improves_fauxbook_hit_rate() {
-        let pts = associativity(64);
-        let one = pts.iter().find(|p| p.ways == 1).unwrap();
-        let two = pts.iter().find(|p| p.ways == 2).unwrap();
-        assert!(
-            two.hit_rate() > one.hit_rate(),
-            "2-way ({:.3}) must beat direct-mapped ({:.3}) on the hot-follower pattern",
-            two.hit_rate(),
-            one.hit_rate()
-        );
     }
 
     #[test]

@@ -32,7 +32,7 @@
 
 use crate::boot_with;
 use nexus_core::{AuthorityKind, FnAuthority, ResourceId};
-use nexus_kernel::{GuardPoolConfig, Nexus, NexusConfig, OverflowPolicy};
+use nexus_kernel::{GuardPoolConfig, Nexus, NexusConfig};
 use nexus_nal::{parse, Formula, Principal, Proof};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -322,8 +322,7 @@ pub struct BackPressurePoint {
     pub embedded_ops_per_s: f64,
     /// External-authority requests submitted by the hammer.
     pub external_submitted: u64,
-    /// Submissions refused at the high-water mark (Reject policy) —
-    /// each resolved to a fault immediately instead of waiting behind
+    /// Submissions refused at the high-water mark — each resolved to a fault immediately instead of waiting behind
     /// the stuck authority.
     pub rejected: u64,
 }
@@ -335,7 +334,6 @@ fn bp_isolated_cfg() -> GuardPoolConfig {
         max_batch: 64,
         prioritizer: None,
         max_queued: BP_MAX_QUEUED,
-        overflow: OverflowPolicy::Reject,
         external_workers: 1,
         stage_timers: None,
     }
@@ -618,8 +616,8 @@ pub fn run_prover(iters: u64) -> ProverPoint {
     nexus.stop_authz_pipeline();
     ProverPoint {
         ops_per_s,
-        memo_hits: stats.prover_memo_hits,
-        memo_misses: stats.prover_memo_misses,
+        memo_hits: prover.memo_hits,
+        memo_misses: prover.memo_misses,
         proofs: prover.proved + prover.failed,
         groups: prover.batch_groups,
         avg_batch: if stats.batches == 0 {

@@ -26,8 +26,6 @@ pub struct ReportConfig {
     pub reqs: u64,
     /// Authorizations per fig7a mode.
     pub fig7a_auths: u64,
-    /// Rounds for the fig4 associativity ablation.
-    pub assoc_rounds: u64,
     /// Iterations for the fig9 scalability curve.
     pub fig9_iters: u64,
     /// Iterations for the fig9 hit-path curve.
@@ -55,7 +53,6 @@ impl ReportConfig {
             pkts: 2_000,
             reqs: 50,
             fig7a_auths: 300,
-            assoc_rounds: 48,
             fig9_iters: 300,
             hits_iters: 20_000,
             bp_window_ms: 500,
@@ -77,7 +74,6 @@ impl ReportConfig {
             pkts: 20_000,
             reqs: 300,
             fig7a_auths: 1_000,
-            assoc_rounds: 256,
             fig9_iters: 2_000,
             hits_iters: 200_000,
             bp_window_ms: 1_500,
@@ -98,7 +94,6 @@ impl ReportConfig {
             pkts: 50,
             reqs: 2,
             fig7a_auths: 5,
-            assoc_rounds: 2,
             fig9_iters: 5,
             hits_iters: 200,
             bp_window_ms: 50,
@@ -132,10 +127,9 @@ fn u(x: u64) -> Value {
 }
 
 /// Every figure key `generate` emits, in document order.
-pub const FIGURES: [&str; 14] = [
+pub const FIGURES: [&str; 13] = [
     "table1",
     "fig4",
-    "fig4_assoc",
     "fig5",
     "fig6",
     "fig7",
@@ -201,37 +195,6 @@ pub fn section(figure: &str, cfg: &ReportConfig) -> Option<Value> {
                     ("case", s(p.case)),
                     ("cached_ns", f(p.cached_ns)),
                     ("uncached_ns", f(p.uncached_ns)),
-                ]
-            })
-        }
-        "fig4_assoc" => {
-            println!("\n=== Figure 4 (ablation): decision-cache hit rate vs associativity ===");
-            println!(
-                "{:<14} {:>10} {:>10} {:>10}",
-                "config", "hits", "misses", "rate"
-            );
-            let pts = fig4::associativity(cfg.assoc_rounds);
-            for p in &pts {
-                let name = if p.ways == 1 {
-                    "direct-mapped"
-                } else {
-                    "2-way"
-                };
-                println!(
-                    "{:<14} {:>10} {:>10} {:>9.1}%",
-                    name,
-                    p.hits,
-                    p.misses,
-                    100.0 * p.hit_rate()
-                );
-            }
-            println!("(Fauxbook hot-follower wall-polling pattern, 64-slot cache)");
-            rows_of(&pts, |p| {
-                vec![
-                    ("ways", u(p.ways as u64)),
-                    ("hits", u(p.hits)),
-                    ("misses", u(p.misses)),
-                    ("hit_rate", f(p.hit_rate())),
                 ]
             })
         }
@@ -576,7 +539,6 @@ mod tests {
             "meta",
             "table1",
             "fig4",
-            "fig4_assoc",
             "fig5",
             "fig6",
             "fig7",

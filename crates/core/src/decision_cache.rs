@@ -45,6 +45,7 @@
 
 use crate::resource::{OpName, ResourceId};
 use nexus_nal::Principal;
+use nexus_obs::{Collect, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -69,15 +70,10 @@ pub struct DecisionCacheConfig {
     /// Total number of slots (rounded up to a multiple of
     /// `subregion_slots`).
     pub total_slots: usize,
-    /// Slots per (operation, object) subregion.
+    /// Slots per (operation, object) subregion; within it a subject
+    /// maps to exactly one slot (direct-mapped, as in the paper — a
+    /// colliding subject displaces on insert).
     pub subregion_slots: usize,
-    /// Set associativity *within* a subregion: 1 is the paper's
-    /// direct-mapped table (a colliding subject displaces on insert);
-    /// 2 gives each subject-hash set two ways with least-recently-hit
-    /// eviction, trading a slightly dearer probe for fewer conflict
-    /// displacements (the ROADMAP's Figure-4 hit-rate experiment).
-    /// Clamped to `1..=subregion_slots`.
-    pub ways: usize,
 }
 
 impl Default for DecisionCacheConfig {
@@ -85,7 +81,6 @@ impl Default for DecisionCacheConfig {
         DecisionCacheConfig {
             total_slots: 4096,
             subregion_slots: 16,
-            ways: 1,
         }
     }
 }
@@ -107,6 +102,37 @@ pub struct DecisionCacheStats {
     /// Lookups that exhausted the bounded retry budget and fell back
     /// to the locked slow path (still exactly one hit or miss each).
     pub read_fallbacks: u64,
+}
+
+impl Collect for DecisionCacheStats {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        r.counter("nexus_dcache_hits_total", "decision-cache hits", self.hits)
+            .counter(
+                "nexus_dcache_misses_total",
+                "decision-cache misses",
+                self.misses,
+            )
+            .counter(
+                "nexus_dcache_invalidations_total",
+                "decision-cache epoch invalidations",
+                self.invalidations,
+            )
+            .counter(
+                "nexus_dcache_collisions_total",
+                "decision-cache set-conflict evictions",
+                self.collisions,
+            )
+            .counter(
+                "nexus_dcache_read_retries_total",
+                "seqlock read retries (torn reads)",
+                self.read_retries,
+            )
+            .counter(
+                "nexus_dcache_read_fallbacks_total",
+                "seqlock reads that fell back to the table lock",
+                self.read_fallbacks,
+            );
+    }
 }
 
 /// Bounded optimistic probe attempts before a lookup falls back to
@@ -133,11 +159,16 @@ struct SeqSlot {
     fp_hi: AtomicU64,
     /// OCCUPIED | ALLOW bits.
     meta: AtomicU64,
-    /// Last-touched stamp for within-set eviction. Deliberately
-    /// *outside* the seqlock discipline: it is an eviction hint, and
-    /// hint races are benign — so the ways=1 hit path stays
-    /// write-free and the ways>1 hit path does one relaxed store.
-    stamp: AtomicU64,
+}
+
+impl SeqSlot {
+    /// Does the slot hold a live entry with this fingerprint? Writer-
+    /// side check: the caller holds the shard's writer lock.
+    fn holds(&self, lo: u64, hi: u64) -> bool {
+        self.meta.load(Ordering::Relaxed) & OCCUPIED != 0
+            && self.fp_lo.load(Ordering::Relaxed) == lo
+            && self.fp_hi.load(Ordering::Relaxed) == hi
+    }
 }
 
 /// One subregion: its slots plus the writer lock that serializes
@@ -154,7 +185,6 @@ struct Shard {
 struct Table {
     shards: Vec<Shard>,
     subregion_slots: usize,
-    ways: usize,
     /// Independently keyed fingerprint hashers (seeded per table).
     fp_a: RandomState,
     fp_b: RandomState,
@@ -163,7 +193,6 @@ struct Table {
 impl Table {
     fn new(cfg: DecisionCacheConfig) -> Self {
         let subregion_slots = cfg.subregion_slots.max(1);
-        let ways = cfg.ways.clamp(1, subregion_slots);
         let subregions = cfg
             .total_slots
             .max(subregion_slots)
@@ -176,7 +205,6 @@ impl Table {
                 })
                 .collect(),
             subregion_slots,
-            ways,
             fp_a: RandomState::new(),
             fp_b: RandomState::new(),
         }
@@ -186,13 +214,11 @@ impl Table {
         (DecisionCache::hash64(&(operation, object)) as usize) % self.shards.len()
     }
 
-    /// (shard index, first slot of the subject's set) for a key; the
-    /// set spans `self.ways` consecutive slots.
+    /// (shard index, slot index within it) for a key.
     fn position_of(&self, key: &CacheKey) -> (usize, usize) {
         let sub = self.subregion_of(&key.operation, &key.object);
-        let sets = self.subregion_slots / self.ways;
-        let set = (DecisionCache::hash64(&key.subject) as usize) % sets.max(1);
-        (sub, set * self.ways)
+        let slot = (DecisionCache::hash64(&key.subject) as usize) % self.subregion_slots;
+        (sub, slot)
     }
 
     /// The 128-bit keyed fingerprint stored in (and compared against)
@@ -251,8 +277,6 @@ pub struct DecisionCache {
     read_fallbacks: StripedCounter,
     invalidations: AtomicU64,
     collisions: AtomicU64,
-    /// Monotonic touch stamp for within-set LRU (associative mode).
-    clock: AtomicU64,
 }
 
 impl DecisionCache {
@@ -266,7 +290,6 @@ impl DecisionCache {
             read_fallbacks: StripedCounter::default(),
             invalidations: AtomicU64::new(0),
             collisions: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
         }
     }
 
@@ -297,7 +320,7 @@ impl DecisionCache {
 
     /// Rewrite a slot's payload under the seqlock write protocol.
     /// Caller must hold the shard's writer lock.
-    fn write_way(slot: &SeqSlot, fp: Option<(u64, u64)>, allow: bool, stamp: u64) {
+    fn write_way(slot: &SeqSlot, fp: Option<(u64, u64)>, allow: bool) {
         let s = slot.seq.load(Ordering::Relaxed);
         slot.seq.store(s.wrapping_add(1), Ordering::Relaxed);
         fence(Ordering::Release);
@@ -307,7 +330,6 @@ impl DecisionCache {
                 slot.fp_hi.store(hi, Ordering::Relaxed);
                 slot.meta
                     .store(OCCUPIED | if allow { ALLOW } else { 0 }, Ordering::Relaxed);
-                slot.stamp.store(stamp, Ordering::Relaxed);
             }
             None => {
                 slot.meta.store(0, Ordering::Relaxed);
@@ -316,38 +338,16 @@ impl DecisionCache {
         slot.seq.store(s.wrapping_add(2), Ordering::Release);
     }
 
-    /// Probe a set while holding the shard writer lock (the
-    /// bounded-retry fallback). Slots with an odd
-    /// sequence are treated as empty — under the lock no legitimate
-    /// writer can be mid-flight, so an odd sequence means torn state
-    /// that must not be trusted.
-    fn probe_locked(
-        &self,
-        t: &Table,
-        shard: &Shard,
-        base: usize,
-        lo: u64,
-        hi: u64,
-    ) -> Option<bool> {
-        for slot in &shard.slots[base..base + t.ways] {
-            if slot.seq.load(Ordering::Relaxed) & 1 != 0 {
-                continue;
-            }
-            let meta = slot.meta.load(Ordering::Relaxed);
-            if meta & OCCUPIED != 0
-                && slot.fp_lo.load(Ordering::Relaxed) == lo
-                && slot.fp_hi.load(Ordering::Relaxed) == hi
-            {
-                if t.ways > 1 {
-                    slot.stamp.store(
-                        self.clock.fetch_add(1, Ordering::Relaxed),
-                        Ordering::Relaxed,
-                    );
-                }
-                return Some(meta & ALLOW != 0);
-            }
+    /// Probe a slot while holding the shard writer lock (the
+    /// bounded-retry fallback). A slot with an odd sequence is treated
+    /// as empty — under the lock no legitimate writer can be
+    /// mid-flight, so an odd sequence means torn state that must not
+    /// be trusted.
+    fn probe_locked(slot: &SeqSlot, lo: u64, hi: u64) -> Option<bool> {
+        if slot.seq.load(Ordering::Relaxed) & 1 != 0 || !slot.holds(lo, hi) {
+            return None;
         }
-        None
+        Some(slot.meta.load(Ordering::Relaxed) & ALLOW != 0)
     }
 
     /// Look up a cached decision. This takes no locks: a hit is a
@@ -356,47 +356,35 @@ impl DecisionCache {
     /// counts exactly one hit or one miss.
     pub fn lookup(&self, key: &CacheKey) -> Option<bool> {
         self.table.read(|t, _| {
-            let (sub, base) = t.position_of(key);
+            let (sub, idx) = t.position_of(key);
             let (lo, hi) = t.fingerprint(key);
             let shard = &t.shards[sub];
-            'attempt: for _ in 0..MAX_READ_RETRIES {
-                for slot in &shard.slots[base..base + t.ways] {
-                    match Self::read_way(slot) {
-                        Some((slo, shi, meta)) => {
-                            if meta & OCCUPIED != 0 && slo == lo && shi == hi {
-                                if t.ways > 1 {
-                                    slot.stamp.store(
-                                        self.clock.fetch_add(1, Ordering::Relaxed),
-                                        Ordering::Relaxed,
-                                    );
-                                }
-                                self.hits.add(1);
-                                return Some(meta & ALLOW != 0);
-                            }
-                        }
-                        // Writer mid-flight: a torn or in-progress
-                        // slot is never acted on — retry the set.
-                        None => {
-                            self.read_retries.add(1);
-                            continue 'attempt;
-                        }
-                    }
+            let slot = &shard.slots[idx];
+            // Writer mid-flight: a torn or in-progress slot is never
+            // acted on — retry the probe.
+            let mut probe = None;
+            for _ in 0..MAX_READ_RETRIES {
+                probe = Self::read_way(slot);
+                if probe.is_some() {
+                    break;
                 }
-                self.misses.add(1);
-                return None;
+                self.read_retries.add(1);
             }
-            self.read_fallbacks.add(1);
-            let _g = shard.write_lock.lock();
-            match self.probe_locked(t, shard, base, lo, hi) {
-                Some(allow) => {
-                    self.hits.add(1);
-                    Some(allow)
+            let verdict = match probe {
+                Some((slo, shi, meta)) => {
+                    (meta & OCCUPIED != 0 && slo == lo && shi == hi).then_some(meta & ALLOW != 0)
                 }
                 None => {
-                    self.misses.add(1);
-                    None
+                    self.read_fallbacks.add(1);
+                    let _g = shard.write_lock.lock();
+                    Self::probe_locked(slot, lo, hi)
                 }
+            };
+            match verdict {
+                Some(_) => self.hits.add(1),
+                None => self.misses.add(1),
             }
+            verdict
         })
     }
 
@@ -415,41 +403,19 @@ impl DecisionCache {
     /// entry was stored.
     pub fn insert_if(&self, key: CacheKey, allow: bool, valid: impl FnOnce() -> bool) -> bool {
         self.table.read(|t, _| {
-            let (sub, base) = t.position_of(&key);
+            let (sub, idx) = t.position_of(&key);
             let (lo, hi) = t.fingerprint(&key);
             let shard = &t.shards[sub];
             let _g = shard.write_lock.lock();
             if !valid() {
                 return false;
             }
-            let stamp = if t.ways > 1 {
-                self.clock.fetch_add(1, Ordering::Relaxed)
-            } else {
-                0
-            };
-            let set = &shard.slots[base..base + t.ways];
-            let matches = |s: &SeqSlot| {
-                s.meta.load(Ordering::Relaxed) & OCCUPIED != 0
-                    && s.fp_lo.load(Ordering::Relaxed) == lo
-                    && s.fp_hi.load(Ordering::Relaxed) == hi
-            };
-            // Same key or an empty way: no displacement.
-            let victim = match set.iter().position(matches).or_else(|| {
-                set.iter()
-                    .position(|s| s.meta.load(Ordering::Relaxed) & OCCUPIED == 0)
-            }) {
-                Some(i) => i,
-                None => {
-                    // Full set: displace the least-recently-touched way.
-                    self.collisions.fetch_add(1, Ordering::Relaxed);
-                    set.iter()
-                        .enumerate()
-                        .min_by_key(|(_, s)| s.stamp.load(Ordering::Relaxed))
-                        .map(|(i, _)| i)
-                        .unwrap_or(0)
-                }
-            };
-            Self::write_way(&set[victim], Some((lo, hi)), allow, stamp);
+            let slot = &shard.slots[idx];
+            // Another subject's live entry in this slot is displaced.
+            if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0 && !slot.holds(lo, hi) {
+                self.collisions.fetch_add(1, Ordering::Relaxed);
+            }
+            Self::write_way(slot, Some((lo, hi)), allow);
             true
         })
     }
@@ -458,18 +424,14 @@ impl DecisionCache {
     /// "On a proof update, the kernel clears a single entry").
     pub fn invalidate_entry(&self, key: &CacheKey) {
         self.table.read(|t, _| {
-            let (sub, base) = t.position_of(key);
+            let (sub, idx) = t.position_of(key);
             let (lo, hi) = t.fingerprint(key);
             let shard = &t.shards[sub];
             let _g = shard.write_lock.lock();
-            for slot in &shard.slots[base..base + t.ways] {
-                if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0
-                    && slot.fp_lo.load(Ordering::Relaxed) == lo
-                    && slot.fp_hi.load(Ordering::Relaxed) == hi
-                {
-                    Self::write_way(slot, None, false, 0);
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
-                }
+            let slot = &shard.slots[idx];
+            if slot.holds(lo, hi) {
+                Self::write_way(slot, None, false);
+                self.invalidations.fetch_add(1, Ordering::Relaxed);
             }
         })
     }
@@ -484,7 +446,7 @@ impl DecisionCache {
             let _g = shard.write_lock.lock();
             for slot in &shard.slots {
                 if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0 {
-                    Self::write_way(slot, None, false, 0);
+                    Self::write_way(slot, None, false);
                     self.invalidations.fetch_add(1, Ordering::Relaxed);
                 }
             }
@@ -501,7 +463,7 @@ impl DecisionCache {
                 let _g = shard.write_lock.lock();
                 for slot in &shard.slots {
                     if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0 {
-                        Self::write_way(slot, None, false, 0);
+                        Self::write_way(slot, None, false);
                         self.invalidations.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -559,11 +521,6 @@ impl DecisionCache {
     /// lets tests detect accidental subregion sharing).
     pub fn subregion_of(&self, operation: &OpName, object: &ResourceId) -> usize {
         self.table.read(|t, _| t.subregion_of(operation, object))
-    }
-
-    /// Current set associativity (after clamping).
-    pub fn ways(&self) -> usize {
-        self.table.read(|t, _| t.ways)
     }
 }
 
@@ -642,7 +599,6 @@ mod tests {
         let c = DecisionCache::new(DecisionCacheConfig {
             total_slots: 4,
             subregion_slots: 2,
-            ways: 1,
         });
         // With 2 subregions × 2 slots, collisions are guaranteed.
         for i in 0..32 {
@@ -662,87 +618,9 @@ mod tests {
         c.resize(DecisionCacheConfig {
             total_slots: 64,
             subregion_slots: 8,
-            ways: 1,
         });
         assert_eq!(c.stats().hits, hits);
         assert_eq!(c.lookup(&k), None);
-    }
-
-    #[test]
-    fn two_way_set_keeps_conflicting_pair_resident() {
-        // Two subjects that collide in a 1-set subregion: the
-        // direct-mapped table thrashes (each insert displaces the
-        // other), the 2-way set holds both.
-        let direct = DecisionCache::new(DecisionCacheConfig {
-            total_slots: 2,
-            subregion_slots: 2,
-            ways: 1,
-        });
-        let assoc = DecisionCache::new(DecisionCacheConfig {
-            total_slots: 2,
-            subregion_slots: 2,
-            ways: 2,
-        });
-        // Find two subjects that land in the same way-1 slot of the
-        // same subregion (guaranteed to exist quickly: 1 subregion
-        // here, 2 slots).
-        let base = key("s0", "read", "file:/x");
-        let (sub0, slot0) = direct.table.read(|t, _| t.position_of(&base));
-        let rival = (1..64)
-            .map(|i| key(&format!("s{i}"), "read", "file:/x"))
-            .find(|k| direct.table.read(|t, _| t.position_of(k)) == (sub0, slot0))
-            .expect("a colliding subject exists among 63 candidates");
-
-        for c in [&direct, &assoc] {
-            c.insert(base.clone(), true);
-            c.insert(rival.clone(), false);
-        }
-        // Direct-mapped: the rival displaced the base entry.
-        assert_eq!(direct.lookup(&base), None);
-        assert_eq!(direct.lookup(&rival), Some(false));
-        assert!(direct.stats().collisions > 0);
-        // Two-way: both resident.
-        assert_eq!(assoc.lookup(&base), Some(true));
-        assert_eq!(assoc.lookup(&rival), Some(false));
-        assert_eq!(assoc.stats().collisions, 0);
-        assert_eq!(assoc.ways(), 2);
-    }
-
-    #[test]
-    fn two_way_evicts_least_recently_touched() {
-        // One subregion, one 2-way set: with three colliding keys the
-        // set must evict the least-recently-touched way.
-        let c = DecisionCache::new(DecisionCacheConfig {
-            total_slots: 2,
-            subregion_slots: 2,
-            ways: 2,
-        });
-        let keys: Vec<CacheKey> = (0..3).map(|i| key(&format!("s{i}"), "r", "o")).collect();
-        c.insert(keys[0].clone(), true);
-        c.insert(keys[1].clone(), true);
-        // Touch keys[0] so keys[1] is the LRU way.
-        assert_eq!(c.lookup(&keys[0]), Some(true));
-        c.insert(keys[2].clone(), true);
-        assert_eq!(
-            c.lookup(&keys[0]),
-            Some(true),
-            "recently touched must survive"
-        );
-        assert_eq!(c.lookup(&keys[1]), None, "LRU way must be evicted");
-        assert_eq!(c.lookup(&keys[2]), Some(true));
-    }
-
-    #[test]
-    fn ways_clamped_to_subregion() {
-        let c = DecisionCache::new(DecisionCacheConfig {
-            total_slots: 8,
-            subregion_slots: 4,
-            ways: 64,
-        });
-        assert_eq!(c.ways(), 4);
-        let k = key("a", "r", "o");
-        c.insert(k.clone(), true);
-        assert_eq!(c.lookup(&k), Some(true));
     }
 
     #[test]
@@ -844,8 +722,8 @@ mod tests {
         let before = c.stats();
 
         c.table.read(|t, _| {
-            let (sub, base) = t.position_of(&k);
-            let slot = &t.shards[sub].slots[base];
+            let (sub, idx) = t.position_of(&k);
+            let slot = &t.shards[sub].slots[idx];
             let s = slot.seq.load(Ordering::Relaxed);
             // Begin a write that never completes: odd sequence, then
             // scramble the verdict bit mid-payload.
@@ -900,7 +778,6 @@ mod tests {
             // Tiny table so keys genuinely collide and displace.
             total_slots: 8,
             subregion_slots: 4,
-            ways: 1,
         }));
         let keys: Vec<(CacheKey, bool)> = (0..16)
             .map(|i| (key(&format!("u{i}"), "read", "file:/hot"), i % 2 == 0))

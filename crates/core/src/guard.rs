@@ -22,6 +22,7 @@ use nexus_nal::{
     BatchGoal, CheckError, Formula, Principal, Proof, ProofSearch, ProveOutcome, ProverConfig,
     Subst, Term,
 };
+use nexus_obs::{Collect, MetricsRegistry};
 use parking_lot::Mutex;
 use sha2::{Digest as _, Sha256};
 use std::collections::{HashMap, VecDeque};
@@ -133,6 +134,41 @@ pub struct GuardStats {
     pub batched: u64,
 }
 
+impl Collect for GuardStats {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        r.counter(
+            "nexus_guard_checks_total",
+            "guard proof checks",
+            self.checks,
+        )
+        .counter(
+            "nexus_guard_cache_hits_total",
+            "guard proof-cache hits",
+            self.cache_hits,
+        )
+        .counter(
+            "nexus_guard_cache_misses_total",
+            "guard proof-cache misses",
+            self.cache_misses,
+        )
+        .counter(
+            "nexus_guard_authority_queries_total",
+            "authority predicate queries",
+            self.authority_queries,
+        )
+        .counter(
+            "nexus_guard_evictions_total",
+            "guard proof-cache evictions",
+            self.evictions,
+        )
+        .counter(
+            "nexus_guard_batched_total",
+            "requests checked through check_batch",
+            self.batched,
+        );
+    }
+}
+
 /// Statistics of the guard's batch-prover session (the auto-prove
 /// path for requests arriving without a stored or supplied proof).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -154,6 +190,46 @@ pub struct ProverStats {
     pub proved: u64,
     /// Auto-prove goals the bounded search gave up on.
     pub failed: u64,
+}
+
+impl Collect for ProverStats {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        r.counter(
+            "nexus_prover_memo_hits_total",
+            "prover memo hits",
+            self.memo_hits,
+        )
+        .counter(
+            "nexus_prover_memo_misses_total",
+            "prover memo misses",
+            self.memo_misses,
+        )
+        .counter(
+            "nexus_prover_batch_groups_total",
+            "distinct frontier groups across batches",
+            self.batch_groups,
+        )
+        .counter(
+            "nexus_prover_batch_shared_total",
+            "goals that shared an earlier goal's frontier",
+            self.batch_shared,
+        )
+        .counter(
+            "nexus_prover_flushes_total",
+            "memo flushes (label-removal epoch moved)",
+            self.flushes,
+        )
+        .counter(
+            "nexus_prover_proved_total",
+            "auto-prove successes",
+            self.proved,
+        )
+        .counter(
+            "nexus_prover_failed_total",
+            "auto-prove failures",
+            self.failed,
+        );
+    }
 }
 
 /// The guard's persistent [`ProofSearch`] session: one memo table

@@ -234,21 +234,6 @@ impl LabelStore {
         Arc::clone(&self.shape)
     }
 
-    /// Find the handle of a label by content (lowest handle wins when
-    /// duplicates exist). Content resolution cannot distinguish a
-    /// replicated label from an identically-worded locally-said one,
-    /// so the replication layer tracks the exact handle each remote
-    /// mint produced and uses this lookup only as a fallback for
-    /// untracked records.
-    pub fn find_handle(&self, speaker: &Principal, statement: &Formula) -> Option<LabelHandle> {
-        self.labels
-            .iter()
-            .filter(|(_, l)| &l.speaker == speaker && &l.statement == statement)
-            .map(|(h, _)| *h)
-            .min()
-            .map(LabelHandle)
-    }
-
     /// Number of labels.
     pub fn len(&self) -> usize {
         self.labels.len()
@@ -387,21 +372,6 @@ mod tests {
             "old snapshot intact"
         );
         assert_eq!(store.formulas(), *s3);
-    }
-
-    #[test]
-    fn find_handle_matches_content_and_prefers_lowest() {
-        let mut store = LabelStore::new();
-        let h1 = store.say(&p("CA"), "ok").unwrap();
-        store.say(&p("CA"), "other").unwrap();
-        let h3 = store.say(&p("CA"), "ok").unwrap();
-        let stmt = parse("ok").unwrap();
-        assert_eq!(store.find_handle(&p("CA"), &stmt), Some(h1));
-        store.delete(h1).unwrap();
-        assert_eq!(store.find_handle(&p("CA"), &stmt), Some(h3));
-        store.delete(h3).unwrap();
-        assert_eq!(store.find_handle(&p("CA"), &stmt), None);
-        assert_eq!(store.find_handle(&p("CB"), &stmt), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::wire::{BrbCounters, BrbState, Membership, Message, NodeId, OpEnvelope
 use nexus_core::LabelHandle;
 use nexus_kernel::Nexus;
 use nexus_nal::{parse, Principal};
-use nexus_obs::{MetricsRegistry, TelemetrySnapshot};
+use nexus_obs::{Collect, MetricsRegistry, TelemetrySnapshot};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -40,6 +40,32 @@ pub struct NodeStats {
     pub rejected_ops: u64,
 }
 
+impl Collect for NodeStats {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        self.brb.collect(r);
+        r.counter(
+            "nexus_dist_applied_mints_total",
+            "labels minted from deliveries",
+            self.applied_mints,
+        )
+        .counter(
+            "nexus_dist_applied_revocations_total",
+            "labels revoked (fenced) from deliveries",
+            self.applied_revocations,
+        )
+        .counter(
+            "nexus_dist_apply_errors_total",
+            "delivered ops that failed to apply",
+            self.apply_errors,
+        )
+        .counter(
+            "nexus_dist_rejected_ops_total",
+            "delivered ops rejected for an origin-unbound mint dot",
+            self.rejected_ops,
+        );
+    }
+}
+
 /// A cluster member.
 pub struct DistNode {
     pub(crate) signer: SimEd25519,
@@ -55,10 +81,9 @@ pub struct DistNode {
     /// a remote revocation deletes that handle — never a locally-said
     /// label that happens to share (speaker, statement) content.
     remote_handles: HashMap<LabelRecord, LabelHandle>,
-    applied_mints: u64,
-    applied_revocations: u64,
-    apply_errors: u64,
-    rejected_ops: u64,
+    /// What the delivery path did to the kernel (`brb` is filled in
+    /// from the broadcast endpoint when read).
+    applied: NodeStats,
 }
 
 impl DistNode {
@@ -77,10 +102,7 @@ impl DistNode {
             subjects: HashMap::new(),
             mint_counter: 0,
             remote_handles: HashMap::new(),
-            applied_mints: 0,
-            applied_revocations: 0,
-            apply_errors: 0,
-            rejected_ops: 0,
+            applied: NodeStats::default(),
         }
     }
 
@@ -135,64 +157,17 @@ impl DistNode {
     pub fn stats(&self) -> NodeStats {
         NodeStats {
             brb: self.brb.counters(),
-            applied_mints: self.applied_mints,
-            applied_revocations: self.applied_revocations,
-            apply_errors: self.apply_errors,
-            rejected_ops: self.rejected_ops,
+            ..self.applied
         }
     }
 
-    /// Per-node broadcast/delivery metrics, in the same snapshot form
-    /// as [`Nexus::telemetry_snapshot`] (renderable as Prometheus
-    /// text or JSON next to the kernel's own series).
+    /// This node's whole telemetry surface in one snapshot: the
+    /// kernel's own series (exactly [`Nexus::telemetry_snapshot`])
+    /// followed by the broadcast/delivery counters of [`NodeStats`].
     pub fn metrics(&self) -> TelemetrySnapshot {
-        let s = self.stats();
         let mut r = MetricsRegistry::new();
-        r.counter(
-            "nexus_dist_brb_accepted_total",
-            "broadcast messages accepted",
-            s.brb.accepted,
-        )
-        .counter(
-            "nexus_dist_brb_rejected_sigs_total",
-            "broadcast messages dropped for bad signatures",
-            s.brb.rejected_sigs,
-        )
-        .counter(
-            "nexus_dist_brb_equivocations_total",
-            "conflicting Sends observed for an accepted slot",
-            s.brb.equivocations,
-        )
-        .counter(
-            "nexus_dist_brb_duplicates_total",
-            "redundant broadcast messages",
-            s.brb.duplicates,
-        )
-        .counter(
-            "nexus_dist_brb_delivered_total",
-            "ops delivered by the broadcast layer",
-            s.brb.delivered,
-        )
-        .counter(
-            "nexus_dist_applied_mints_total",
-            "labels minted from deliveries",
-            s.applied_mints,
-        )
-        .counter(
-            "nexus_dist_applied_revocations_total",
-            "labels revoked (fenced) from deliveries",
-            s.applied_revocations,
-        )
-        .counter(
-            "nexus_dist_apply_errors_total",
-            "delivered ops that failed to apply",
-            s.apply_errors,
-        )
-        .counter(
-            "nexus_dist_rejected_ops_total",
-            "delivered ops rejected for an origin-unbound mint dot",
-            s.rejected_ops,
-        );
+        self.nexus.collect(&mut r);
+        self.stats().collect(&mut r);
         r.finish()
     }
 
@@ -203,7 +178,7 @@ impl DistNode {
         let step = self.brb.handle(msg, &self.signer);
         for env in &step.delivered {
             if !Self::op_origin_bound(env) {
-                self.rejected_ops += 1;
+                self.applied.rejected_ops += 1;
                 continue;
             }
             let effect = self.orset.apply(&env.op);
@@ -231,14 +206,14 @@ impl DistNode {
     fn apply_effect(&mut self, effect: &ApplyEffect) {
         for rec in &effect.revoked {
             match self.revoke_local(rec) {
-                Ok(()) => self.applied_revocations += 1,
-                Err(()) => self.apply_errors += 1,
+                Ok(()) => self.applied.applied_revocations += 1,
+                Err(()) => self.applied.apply_errors += 1,
             }
         }
         for rec in &effect.minted {
             match self.mint_local(rec) {
-                Ok(()) => self.applied_mints += 1,
-                Err(()) => self.apply_errors += 1,
+                Ok(()) => self.applied.applied_mints += 1,
+                Err(()) => self.applied.apply_errors += 1,
             }
         }
     }
@@ -256,22 +231,10 @@ impl DistNode {
 
     fn revoke_local(&mut self, rec: &LabelRecord) -> Result<(), ()> {
         let pid = self.lookup_subject(&rec.subject).ok_or(())?;
-        // Revoke the exact handle the replication layer minted. The
-        // content-resolution fallback (`find_label`) only runs if the
-        // record somehow isn't tracked; it can conflate a replicated
-        // label with an identically-worded locally-said one, which is
-        // why the map is authoritative.
-        let handle = match self.remote_handles.get(rec) {
-            Some(&h) => h,
-            None => {
-                let statement = parse(&rec.statement).map_err(|_| ())?;
-                let speaker = Principal::name(&rec.speaker);
-                self.nexus
-                    .find_label(pid, &speaker, &statement)
-                    .map_err(|_| ())?
-                    .ok_or(())?
-            }
-        };
+        // Every record that became present went through `mint_local`,
+        // which stored its handle or failed — and then there is no
+        // label here to revoke.
+        let handle = *self.remote_handles.get(rec).ok_or(())?;
         self.nexus
             .apply_remote_revoke(pid, handle)
             .map_err(|_| ())?;

@@ -28,6 +28,7 @@
 
 use crate::orset::{Dot, LabelOp, LabelRecord};
 use ed25519_dalek::{Signature, Signer, SigningKey, Verifier, VerifyingKey};
+use nexus_obs::{Collect, MetricsRegistry};
 use sha2::{Digest as _, Sha256};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -385,6 +386,41 @@ pub struct BrbCounters {
     pub rejected_bounds: u64,
     /// Ops delivered.
     pub delivered: u64,
+}
+
+impl Collect for BrbCounters {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        r.counter(
+            "nexus_dist_brb_accepted_total",
+            "broadcast messages accepted",
+            self.accepted,
+        )
+        .counter(
+            "nexus_dist_brb_rejected_sigs_total",
+            "broadcast messages dropped for bad signatures",
+            self.rejected_sigs,
+        )
+        .counter(
+            "nexus_dist_brb_equivocations_total",
+            "conflicting Sends observed for an accepted slot",
+            self.equivocations,
+        )
+        .counter(
+            "nexus_dist_brb_duplicates_total",
+            "redundant broadcast messages",
+            self.duplicates,
+        )
+        .counter(
+            "nexus_dist_brb_rejected_bounds_total",
+            "broadcast messages dropped by the per-origin slot window or per-slot digest cap",
+            self.rejected_bounds,
+        )
+        .counter(
+            "nexus_dist_brb_delivered_total",
+            "ops delivered by the broadcast layer",
+            self.delivered,
+        );
+    }
 }
 
 /// One node's BRB endpoint: a pure state machine — feed it messages,

@@ -6,7 +6,10 @@
 //! assertion message prints the seed that replays it.
 
 use nexus_core::ResourceId;
-use nexus_dist::{Cluster, Partition, SimConfig};
+use nexus_dist::{
+    Cluster, Dot, LabelOp, LabelRecord, Message, OpEnvelope, Partition, Payload, SimConfig,
+    SimEd25519,
+};
 use nexus_nal::{parse, Principal};
 
 /// Clusters that must tolerate one Byzantine member need n >= 4
@@ -389,5 +392,50 @@ fn transfer_is_atomic_on_every_replica() {
                 "kernel effect counts off at node {i}: seed={seed}"
             );
         }
+    }
+}
+
+#[test]
+fn seq_flood_drops_surface_in_the_node_snapshot_next_to_the_kernel_series() {
+    // "What is this node dropping?" must be answerable from one
+    // snapshot: a member spraying validly-signed Sends for fresh seqs
+    // of its own origin runs into the per-origin undelivered-slot
+    // window (64 in `wire.rs`), and every Send past it is counted —
+    // and exported — as a bounds rejection.
+    const FLOOD: u64 = 3 * 64;
+    let seed = 0xf100d;
+    let mut cluster = Cluster::new(BYZ_N, seed);
+    let flooder = SimEd25519::from_seed(seed, 4);
+    for seq in 0..FLOOD {
+        let op = LabelOp::Mint {
+            dot: Dot::new(4, seq + 1),
+            label: LabelRecord::new("mallory", "CA", "ok"),
+        };
+        let env = OpEnvelope::sign(4, seq, op, &flooder);
+        let msg = Message::sign(4, Payload::Send(env), &flooder);
+        cluster.node_mut(0).handle(&msg);
+    }
+    let node = cluster.node(0);
+    let dropped = node.stats().brb.rejected_bounds;
+    assert!(dropped > 0, "the flood never hit the slot window");
+    let snap = node.metrics();
+    match &snap
+        .get("nexus_dist_brb_rejected_bounds_total")
+        .expect("bounds rejections must be exported")
+        .value
+    {
+        nexus_obs::SampleValue::Counter(v) => assert_eq!(*v, dropped),
+        other => panic!("rejected_bounds must be a counter, got {other:?}"),
+    }
+    // The same snapshot carries the kernel's own series.
+    for name in [
+        "nexus_dcache_hits_total",
+        "nexus_dist_remote_mints_total",
+        "nexus_authz_stage_prove_ns",
+        "nexus_authz_stage_complete_ns",
+        "nexus_dist_brb_accepted_total",
+        "nexus_dist_rejected_ops_total",
+    ] {
+        assert!(snap.get(name).is_some(), "missing metric {name}");
     }
 }

@@ -9,6 +9,7 @@
 //! stack on one channel, and `interpose` itself can be monitored.
 
 use crate::error::KernelError;
+use nexus_obs::{Collect, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -240,6 +241,21 @@ pub struct InterposeStats {
     pub hits: u64,
     /// Total dispatches that traversed an interposed channel.
     pub invocations: u64,
+}
+
+impl Collect for InterposeStats {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        r.counter(
+            "nexus_interpose_invocations_total",
+            "redirector monitor invocations",
+            self.invocations,
+        )
+        .counter(
+            "nexus_interpose_hits_total",
+            "redirector verdict-cache hits",
+            self.hits,
+        );
+    }
 }
 
 impl InterposeStats {

@@ -15,13 +15,22 @@
 //! * [`fs`] — the RAM filesystem behind the user-level file server;
 //! * [`nic`] — the simulated network device and the UDP-echo paths of
 //!   Figure 7, including the device-driver reference monitor;
-//! * [`nexus`] — boot (§3.4), system calls (Table 1's set), the
-//!   authorization path of Figure 1 (decision cache → guard → goal),
-//!   and the introspection namespace (§3.1).
+//! * [`nexus`] — the kernel proper, one `Nexus` struct whose `impl` is
+//!   split along its seams: `nexus/mod.rs` (the struct, boot (§3.4),
+//!   configuration, subsystem accessors), `process` (IPDs and the
+//!   lock-free hot index), `labels` (labelstore syscalls, the analyzer
+//!   and replication hooks, and the two doors every credential write
+//!   goes through), `goals` (goals, proofs, authorities), `authz` (the
+//!   authorization path of Figure 1: decision cache → guard → goal,
+//!   under a validated read stamp), `pipeline` (the `GuardPool`
+//!   adapter and the invalidation fences), `telemetry` (the `Collect`
+//!   walk over every stats surface), `syscalls` (Table 1's set, the
+//!   filesystem, IPC and `interpose`), and `introspect` (the `/proc`
+//!   namespace, §3.1).
 //!
-//! See DESIGN.md at the workspace root for what is simulated versus
-//! the paper's hardware and why the substitutions preserve the
-//! evaluated behaviour.
+//! See "Paper vs. measured" in the workspace README for what is
+//! simulated versus the paper's hardware and why the substitutions
+//! preserve the evaluated behaviour.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +54,7 @@ pub use ipd::{Ipd, IpdTable};
 pub use nexus::{
     AttestStats, BootImages, DistStats, Nexus, NexusConfig, SysRet, Syscall, SYSCALL_CHANNEL,
 };
-pub use nexus_authzd::{AuthzOutcome, AuthzTicket, GuardPoolConfig, OverflowPolicy, PoolStats};
+pub use nexus_authzd::{AuthzOutcome, AuthzTicket, GuardPoolConfig, PoolStats};
 pub use nexus_obs::{
     AuditEvent, AuditPath, AuditVerdict, HistogramSnapshot, ObsConfig, TelemetrySnapshot,
 };

@@ -1,0 +1,78 @@
+//! Processes (IPDs) and the lock-free hot index over them.
+
+use super::Nexus;
+use crate::error::KernelError;
+use crate::ipd::IpdTable;
+use nexus_nal::Principal;
+use parking_lot::RwLockReadGuard;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+
+/// The per-process facts the submission path reads on every request,
+/// published into the `ipd_hot` snapshot at spawn. The shape word is
+/// the labelstore's own live atomic (shared by `Arc`), so `say`/
+/// `transfer_label` update it in place with no republication.
+#[derive(Clone)]
+pub(super) struct IpdHot {
+    pub(super) principal: Principal,
+    pub(super) name: String,
+    pub(super) shape: Arc<AtomicU64>,
+}
+
+impl Nexus {
+    /// Spawn a top-level process. (Scheduler weights are assigned
+    /// separately — tenants register via [`Nexus::sched`].)
+    pub fn spawn(&self, name: &str, image: &[u8]) -> u64 {
+        let mut ipds = self.ipds.write();
+        let pid = ipds.spawn(name, 0, image);
+        self.publish_ipd_hot(&ipds, pid);
+        pid
+    }
+
+    /// Spawn a child process.
+    pub fn spawn_child(&self, parent: u64, name: &str, image: &[u8]) -> Result<u64, KernelError> {
+        let mut ipds = self.ipds.write();
+        ipds.get(parent)?;
+        let pid = ipds.spawn(name, parent, image);
+        self.publish_ipd_hot(&ipds, pid);
+        Ok(pid)
+    }
+
+    /// Publish (or refresh) a pid's entry in the lock-free hot index.
+    /// Called with the `ipds` write lock held; the snapshot's writer
+    /// mutex is leaf-scoped, so the nesting is one-way.
+    fn publish_ipd_hot(&self, ipds: &IpdTable, pid: u64) {
+        if let Ok(ipd) = ipds.get(pid) {
+            let hot = IpdHot {
+                principal: ipd.principal(),
+                name: ipd.name.clone(),
+                shape: ipd.labelstore.shape_handle(),
+            };
+            self.ipd_hot.update(|m| {
+                m.insert(pid, hot.clone());
+            });
+        }
+    }
+
+    /// The principal a pid's statements are attributed to.
+    pub fn principal(&self, pid: u64) -> Result<Principal, KernelError> {
+        Ok(self.ipds.read().get(pid)?.principal())
+    }
+
+    /// Launch-time hash of a process image.
+    pub fn launch_hash(&self, pid: u64) -> Result<nexus_tpm::Digest, KernelError> {
+        Ok(self.ipds.read().get(pid)?.launch_hash)
+    }
+
+    /// Process table access (read-locked).
+    pub fn ipds(&self) -> RwLockReadGuard<'_, IpdTable> {
+        self.ipds.read()
+    }
+
+    /// Relinquish a system call permanently (§4.1: the web server
+    /// drops everything but IPC after initialization).
+    pub fn relinquish(&self, pid: u64, syscall: &'static str) -> Result<(), KernelError> {
+        self.ipds.write().get_mut(pid)?.relinquished.insert(syscall);
+        Ok(())
+    }
+}

@@ -4,7 +4,7 @@
 //! teardown.
 
 use nexus_core::{AuthorityKind, FnAuthority, ResourceId};
-use nexus_kernel::{AuthzOutcome, GuardPoolConfig, Nexus, OverflowPolicy};
+use nexus_kernel::{AuthzOutcome, GuardPoolConfig, Nexus};
 use nexus_nal::{parse, Formula, Principal, Proof};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -296,7 +296,6 @@ fn stuck_external_authority_saturates_only_the_external_pool() {
         workers: 2,
         max_batch: 1,
         max_queued: 4,
-        overflow: OverflowPolicy::Reject,
         external_workers: 1,
         prioritizer: None,
         stage_timers: None,

@@ -149,15 +149,10 @@ fn pipeline_batches_share_one_proof_search() {
     for t in tickets {
         assert!(t.wait().is_allow());
     }
-    let pool_stats = nexus.authz_stats().unwrap();
     let prover = nexus.guard_prover_stats();
     assert!(
         prover.memo_hits > 0,
         "32 identical auto-proved requests must share derivations: {prover:?}"
-    );
-    assert_eq!(
-        pool_stats.prover_memo_hits, prover.memo_hits,
-        "pool stats must surface the executor's prover memo counters"
     );
     assert!(prover.batch_groups >= 1);
     nexus.stop_authz_pipeline();

@@ -231,6 +231,62 @@ fn disabled_telemetry_records_nothing() {
     assert!(snap.get("nexus_dcache_misses_total").is_some());
 }
 
+/// The complete exposition of a kernel with the pipeline running, in
+/// registration order, one `name kind help` per line. Captured from
+/// the hand-written `telemetry_snapshot` the `Collect` walk replaced,
+/// so the walk is held to byte-identical text and JSON (values aside).
+const SNAPSHOT_SHAPE: &str = "\
+nexus_telemetry_enabled gauge 1 when stage timers and the audit journal are recording
+nexus_dcache_hits_total counter decision-cache hits
+nexus_dcache_misses_total counter decision-cache misses
+nexus_dcache_invalidations_total counter decision-cache epoch invalidations
+nexus_dcache_collisions_total counter decision-cache set-conflict evictions
+nexus_dcache_read_retries_total counter seqlock read retries (torn reads)
+nexus_dcache_read_fallbacks_total counter seqlock reads that fell back to the table lock
+nexus_guard_checks_total counter guard proof checks
+nexus_guard_cache_hits_total counter guard proof-cache hits
+nexus_guard_cache_misses_total counter guard proof-cache misses
+nexus_guard_authority_queries_total counter authority predicate queries
+nexus_guard_evictions_total counter guard proof-cache evictions
+nexus_guard_batched_total counter requests checked through check_batch
+nexus_guard_upcalls_total counter decision-cache misses that reached the guard
+nexus_prover_memo_hits_total counter prover memo hits
+nexus_prover_memo_misses_total counter prover memo misses
+nexus_prover_batch_groups_total counter distinct frontier groups across batches
+nexus_prover_batch_shared_total counter goals that shared an earlier goal's frontier
+nexus_prover_flushes_total counter memo flushes (label-removal epoch moved)
+nexus_prover_proved_total counter auto-prove successes
+nexus_prover_failed_total counter auto-prove failures
+nexus_interpose_invocations_total counter redirector monitor invocations
+nexus_interpose_hits_total counter redirector verdict-cache hits
+nexus_authz_submitted_total counter pipeline submissions
+nexus_authz_completed_total counter pipeline completions
+nexus_authz_batches_total counter pipeline batches
+nexus_authz_coalesced_total counter requests coalesced into an existing batch
+nexus_authz_rejected_total counter submissions shed at the high-water mark
+nexus_authz_external_batches_total counter batches run on the external lane
+nexus_authz_callback_panics_total counter ticket callbacks that panicked
+nexus_authz_executor_panics_total counter batches whose executor panicked
+nexus_authz_max_batch_seen gauge largest batch observed
+nexus_authz_embedded_depth gauge embedded-lane backlog (queued requests)
+nexus_authz_external_depth gauge external-lane backlog (queued requests)
+nexus_audit_recorded_total counter audit events recorded (slot claims)
+nexus_audit_dropped_total counter audit events dropped in slot races
+nexus_attest_analyses_total counter analyzer runs (analysis-cache misses)
+nexus_attest_analysis_cache_hits_total counter attestation requests served from cached analysis results
+nexus_attest_minted_total counter analyzer credentials minted
+nexus_attest_refused_total counter analyzer credentials refused
+nexus_attest_revoked_total counter analyzer credentials revoked (binary changed)
+nexus_dist_remote_mints_total counter labels minted from delivered broadcast ops
+nexus_dist_remote_revocations_total counter labels revoked (and fenced) from delivered broadcast ops
+nexus_authz_stage_submit_ns histogram authorize-path submit stage latency (ns)
+nexus_authz_stage_queue_wait_ns histogram authorize-path queue_wait stage latency (ns)
+nexus_authz_stage_batch_assembly_ns histogram authorize-path batch_assembly stage latency (ns)
+nexus_authz_stage_prove_ns histogram authorize-path prove stage latency (ns)
+nexus_authz_stage_verify_ns histogram authorize-path verify stage latency (ns)
+nexus_authz_stage_complete_ns histogram authorize-path complete stage latency (ns)
+";
+
 #[test]
 fn snapshot_unifies_every_stats_surface_and_renders() {
     let nexus = boot_with(NexusConfig::default());
@@ -259,6 +315,19 @@ fn snapshot_unifies_every_stats_surface_and_renders() {
     let json = snap.render_json();
     assert!(json.starts_with('{') && json.ends_with('}'));
     assert!(json.contains("\"nexus_guard_checks_total\""));
+    let shape: String = snap
+        .metrics
+        .iter()
+        .map(|m| {
+            let kind = match &m.value {
+                nexus_obs::SampleValue::Counter(_) => "counter",
+                nexus_obs::SampleValue::Gauge(_) => "gauge",
+                nexus_obs::SampleValue::Histogram(_) => "histogram",
+            };
+            format!("{} {kind} {}\n", m.name, m.help)
+        })
+        .collect();
+    assert_eq!(shape, SNAPSHOT_SHAPE);
 }
 
 #[test]
@@ -316,6 +385,75 @@ fn credential_lifecycle_counts_and_journals() {
     // count.
     assert!(nexus.revoke_credential(subject, h).is_err());
     assert_eq!(nexus.attest_stats().credentials_revoked, 1);
+
+    // Every way a label can leave a store goes through the one fenced
+    // door: a cached allow it backed is gone by the time the removal
+    // returns, whichever entry point took it.
+    let object = ResourceId::new("test", "lifecycle");
+    let owner = nexus.spawn("owner", b"img");
+    nexus.grant_ownership(owner, &object).unwrap();
+    let ok = nexus_nal::Formula::pred("ok", vec![]);
+    let goal = ok.clone().says(nexus.principal(analyzer).unwrap());
+    nexus
+        .sys_setgoal(owner, object.clone(), "use", goal)
+        .unwrap();
+    let sink = nexus.spawn("sink", b"img");
+    for (name, journal_path) in [
+        ("transfer_label", None),
+        ("revoke_credential", Some(AuditPath::Analyzer)),
+        ("apply_remote_revoke", Some(AuditPath::Replication)),
+    ] {
+        let holder = nexus.spawn(name, b"img");
+        let h = nexus.mint_credential(analyzer, holder, ok.clone()).unwrap();
+        assert!(nexus.authorize(holder, "use", &object).unwrap(), "{name}");
+        let hits = nexus.decision_cache_stats().hits;
+        assert!(nexus.authorize(holder, "use", &object).unwrap(), "{name}");
+        assert_eq!(
+            nexus.decision_cache_stats().hits,
+            hits + 1,
+            "{name}: the allow must be cached before the removal"
+        );
+        // A transfer to a process that does not exist fails before
+        // anything is removed.
+        assert!(nexus.transfer_label(holder, h, u64::MAX).is_err());
+        assert_eq!(nexus.labels_of(holder).unwrap().len(), 1, "{name}");
+
+        let removal_epoch_of = |verdict: AuditVerdict| {
+            nexus
+                .audit_recent(usize::MAX)
+                .into_iter()
+                .find(|e| e.pid == holder && e.path == AuditPath::Inline && e.verdict == verdict)
+                .unwrap_or_else(|| panic!("{name}: no inline {verdict:?} event"))
+                .epochs[2]
+        };
+        let before = removal_epoch_of(AuditVerdict::Allow);
+        let invalidations = nexus.decision_cache_stats().invalidations;
+        match name {
+            "transfer_label" => drop(nexus.transfer_label(holder, h, sink).unwrap()),
+            "revoke_credential" => nexus.revoke_credential(holder, h).unwrap(),
+            _ => drop(nexus.apply_remote_revoke(holder, h).unwrap()),
+        }
+        assert!(
+            !nexus.authorize(holder, "use", &object).unwrap(),
+            "{name}: stale allow served after the removal returned"
+        );
+        assert_eq!(
+            removal_epoch_of(AuditVerdict::Deny),
+            before + 1,
+            "{name}: exactly one fence per removal"
+        );
+        assert!(
+            nexus.decision_cache_stats().invalidations > invalidations,
+            "{name}: the cached allow must have been invalidated"
+        );
+        let revokes: Vec<AuditPath> = nexus
+            .audit_recent(usize::MAX)
+            .into_iter()
+            .filter(|e| e.pid == holder && e.verdict == AuditVerdict::Revoke)
+            .map(|e| e.path)
+            .collect();
+        assert_eq!(revokes, Vec::from_iter(journal_path), "{name}");
+    }
 }
 
 #[test]

@@ -201,7 +201,7 @@ impl ProofSearch {
         norm.sort_unstable();
         norm.dedup();
         let fp = fingerprint_normalized(&norm);
-        self.prove_keyed(goal, credentials, fp)
+        self.prove_keyed_explained(goal, credentials, fp).proof
     }
 
     /// Prove a whole batch, sharing the search frontier: members are
@@ -269,10 +269,6 @@ impl ProofSearch {
     /// subsequent searches just start cold.
     pub fn flush(&mut self) {
         self.session.clear();
-    }
-
-    fn prove_keyed(&mut self, goal: &Formula, credentials: &[Formula], fp: u128) -> Option<Proof> {
-        self.prove_keyed_explained(goal, credentials, fp).proof
     }
 
     fn prove_keyed_explained(
@@ -374,13 +370,43 @@ struct Search<'a> {
     /// Delegation edges derivable by the handoff rule from
     /// credentials of the form `S says (A speaksfor B)` where S is B
     /// or an ancestor of B: (from, to, scope, proof).
-    handoff_edges: Vec<(
-        Principal,
-        Principal,
-        Option<std::collections::BTreeSet<String>>,
-        Proof,
-    )>,
+    handoff_edges: Vec<(Principal, Principal, Option<Scope>, Proof)>,
     session: &'a mut SessionState,
+}
+
+/// The statement names a scoped `speaksfor` is restricted to.
+type Scope = std::collections::BTreeSet<String>;
+
+/// The BFS state of [`Search::delegation_chain`]: principals reached
+/// so far and the proof path that reached each one still to expand.
+struct Frontier<'a> {
+    to: &'a Principal,
+    seen: HashSet<Principal>,
+    queue: VecDeque<(Principal, Vec<Proof>)>,
+}
+
+impl Frontier<'_> {
+    /// Follow one edge from the end of `path` to `next`, unless `next`
+    /// was already reached (then `edge` is never built). `Some` is the
+    /// finished chain: the edge arrived at the target.
+    fn follow(
+        &mut self,
+        path: &[Proof],
+        next: &Principal,
+        edge: impl FnOnce() -> Proof,
+    ) -> Option<Vec<Proof>> {
+        if self.seen.contains(next) {
+            return None;
+        }
+        let mut path = path.to_vec();
+        path.push(edge());
+        if next == self.to {
+            return Some(path);
+        }
+        self.seen.insert(next.clone());
+        self.queue.push_back((next.clone(), path));
+        None
+    }
 }
 
 /// Proof that `from speaksfor from.⋯.to` via chained subprincipal
@@ -406,12 +432,7 @@ fn subprin_chain(from: &Principal, to: &Principal) -> Option<Proof> {
 
 fn compute_handoff_edges(
     credentials: &[Formula],
-) -> Vec<(
-    Principal,
-    Principal,
-    Option<std::collections::BTreeSet<String>>,
-    Proof,
-)> {
+) -> Vec<(Principal, Principal, Option<Scope>, Proof)> {
     let mut out = Vec::new();
     for c in credentials {
         if let Formula::Says(speaker, inner) = c {
@@ -646,8 +667,9 @@ impl<'a> Search<'a> {
                 _ => None,
             })
             .collect();
+        let covers = |scope: &Option<Scope>| scope.as_ref().is_none_or(|sc| s.within_scope(sc));
         for (q, cred) in speakers {
-            if let Some(chain) = self.delegation_chain(&q, p, s) {
+            if let Some(chain) = self.delegation_chain(&q, p, covers) {
                 let mut proof = Proof::assume(cred);
                 for edge in chain {
                     proof = Proof::SpeaksForElim(Box::new(edge), Box::new(proof));
@@ -677,40 +699,37 @@ impl<'a> Search<'a> {
             .map(|body| Proof::SaysIntro(p.clone(), Box::new(body)))
     }
 
-    /// Find a proof chain establishing that statements of `stmt`'s shape
-    /// transfer from `from` to `to`; returns the list of speaksfor
-    /// proofs to apply (innermost first).
+    /// BFS over the delegation graph from `from` to `to`; returns the
+    /// speaksfor proofs to apply (innermost first). Edges:
+    ///  - credentials `A speaksfor B [on σ]` and handoff edges
+    ///    `S says (A sf B)` with S speaking for B, where `covers(σ)`
+    ///    admits the edge's scope (a `says` goal admits scopes covering
+    ///    its statement; a bare `speaksfor` goal only unscoped edges),
+    ///  - subprincipal steps X → X.τ along the path toward `to`.
+    ///
+    /// Expansions are bounded, so the cost is set by the prover and
+    /// not by the size of the (subject-supplied) credential set.
     fn delegation_chain(
-        &mut self,
+        &self,
         from: &Principal,
         to: &Principal,
-        stmt: &Formula,
+        covers: impl Fn(&Option<Scope>) -> bool,
     ) -> Option<Vec<Proof>> {
+        const MAX_EXPANSIONS: usize = 512;
         if from == to {
             return Some(vec![]);
         }
-        // BFS over the delegation graph. Edges:
-        //  - credentials `A speaksfor B [on σ]` where σ covers stmt,
-        //  - subprincipal steps X → X.τ along the path toward `to`.
-        #[derive(Clone)]
-        struct Node {
-            principal: Principal,
-            path: Vec<Proof>,
-        }
-        let mut seen: HashSet<Principal> = HashSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(from.clone());
-        queue.push_back(Node {
-            principal: from.clone(),
-            path: vec![],
-        });
+        let mut frontier = Frontier {
+            to,
+            seen: HashSet::from([from.clone()]),
+            queue: VecDeque::from([(from.clone(), vec![])]),
+        };
         let mut steps = 0;
-        while let Some(node) = queue.pop_front() {
+        while let Some((principal, path)) = frontier.queue.pop_front() {
             steps += 1;
-            if steps > 512 {
+            if steps > MAX_EXPANSIONS {
                 return None;
             }
-            // Credential edges.
             for c in self.credentials {
                 if let Formula::SpeaksFor {
                     from: a,
@@ -718,68 +737,27 @@ impl<'a> Search<'a> {
                     scope,
                 } = c
                 {
-                    if a == &node.principal && !seen.contains(b) {
-                        let covered = match scope {
-                            None => true,
-                            Some(s) => stmt.within_scope(s),
-                        };
-                        if covered {
-                            let mut path = node.path.clone();
-                            path.push(Proof::assume(c.clone()));
-                            if b == to {
-                                return Some(path);
-                            }
-                            seen.insert(b.clone());
-                            queue.push_back(Node {
-                                principal: b.clone(),
-                                path,
-                            });
+                    if a == &principal && covers(scope) {
+                        if let Some(done) = frontier.follow(&path, b, || Proof::assume(c.clone())) {
+                            return Some(done);
                         }
                     }
                 }
             }
-            // Handoff edges: `S says (A sf B)` with S speaking for B.
             for (a, b, scope, proof) in &self.handoff_edges {
-                if a == &node.principal && !seen.contains(b) {
-                    let covered = match scope {
-                        None => true,
-                        Some(s) => stmt.within_scope(s),
-                    };
-                    if covered {
-                        let mut path = node.path.clone();
-                        path.push(proof.clone());
-                        if b == to {
-                            return Some(path);
-                        }
-                        seen.insert(b.clone());
-                        queue.push_back(Node {
-                            principal: b.clone(),
-                            path,
-                        });
+                if a == &principal && covers(scope) {
+                    if let Some(done) = frontier.follow(&path, b, || proof.clone()) {
+                        return Some(done);
                     }
                 }
             }
-            // Subprincipal edge toward the target.
-            if node.principal.is_ancestor_of(to) || &node.principal == to {
-                // Walk one component toward `to`.
-                let target_comps = to.components();
-                let have = node.principal.components().len();
-                let root_matches = node.principal.root() == to.root();
-                if root_matches && have < target_comps.len() {
-                    let next = target_comps[have].to_string();
-                    let child = node.principal.sub(next.clone());
-                    if !seen.contains(&child) {
-                        let mut path = node.path.clone();
-                        path.push(Proof::SubPrin(node.principal.clone(), next));
-                        if &child == to {
-                            return Some(path);
-                        }
-                        seen.insert(child.clone());
-                        queue.push_back(Node {
-                            principal: child,
-                            path,
-                        });
-                    }
+            // One component toward `to`, when `to` lies below.
+            if principal.is_ancestor_of(to) {
+                let next = to.components()[principal.components().len()].to_string();
+                let child = principal.sub(next.clone());
+                let step = || Proof::SubPrin(principal.clone(), next);
+                if let Some(done) = frontier.follow(&path, &child, step) {
+                    return Some(done);
                 }
             }
         }
@@ -790,7 +768,7 @@ impl<'a> Search<'a> {
         &mut self,
         from: &Principal,
         to: &Principal,
-        scope: Option<&std::collections::BTreeSet<String>>,
+        scope: Option<&Scope>,
         goal: &Formula,
     ) -> Option<Proof> {
         if scope.is_some() {
@@ -808,24 +786,11 @@ impl<'a> Search<'a> {
         if from == to {
             return Some(Proof::SpeaksForRefl(from.clone()));
         }
-        if from.is_ancestor_of(to) {
-            // Chain of SubPrin + Trans along the component path.
-            let comps = to.components();
-            let skip = from.components().len();
-            let mut cur = from.clone();
-            let mut proof: Option<Proof> = None;
-            for c in comps.iter().skip(skip) {
-                let step = Proof::SubPrin(cur.clone(), c.to_string());
-                cur = cur.sub(c.to_string());
-                proof = Some(match proof {
-                    None => step,
-                    Some(prev) => Proof::SpeaksForTrans(Box::new(prev), Box::new(step)),
-                });
-            }
-            return proof;
+        if let Some(chain) = subprin_chain(from, to) {
+            return Some(chain);
         }
         // Transitive closure over unscoped credential edges.
-        let chain = self.delegation_chain_unscoped(from, to)?;
+        let chain = self.delegation_chain(from, to, Option::is_none)?;
         let mut iter = chain.into_iter();
         let first = iter.next()?;
         let mut proof = first;
@@ -838,87 +803,6 @@ impl<'a> Search<'a> {
             Ok(c) if normalize(&c) == normalize(goal) => Some(proof),
             _ => None,
         }
-    }
-
-    /// Like `delegation_chain` but restricted to unscoped edges (for
-    /// proving bare `speaksfor` goals via transitivity).
-    fn delegation_chain_unscoped(
-        &mut self,
-        from: &Principal,
-        to: &Principal,
-    ) -> Option<Vec<Proof>> {
-        #[derive(Clone)]
-        struct Node {
-            principal: Principal,
-            path: Vec<Proof>,
-        }
-        let mut seen: HashSet<Principal> = HashSet::new();
-        let mut queue = VecDeque::new();
-        seen.insert(from.clone());
-        queue.push_back(Node {
-            principal: from.clone(),
-            path: vec![],
-        });
-        while let Some(node) = queue.pop_front() {
-            for c in self.credentials {
-                if let Formula::SpeaksFor {
-                    from: a,
-                    to: b,
-                    scope: None,
-                } = c
-                {
-                    if a == &node.principal && !seen.contains(b) {
-                        let mut path = node.path.clone();
-                        path.push(Proof::assume(c.clone()));
-                        if b == to {
-                            return Some(path);
-                        }
-                        seen.insert(b.clone());
-                        queue.push_back(Node {
-                            principal: b.clone(),
-                            path,
-                        });
-                    }
-                }
-            }
-            // Unscoped handoff edges.
-            for (a, b, scope, proof) in &self.handoff_edges {
-                if scope.is_none() && a == &node.principal && !seen.contains(b) {
-                    let mut path = node.path.clone();
-                    path.push(proof.clone());
-                    if b == to {
-                        return Some(path);
-                    }
-                    seen.insert(b.clone());
-                    queue.push_back(Node {
-                        principal: b.clone(),
-                        path,
-                    });
-                }
-            }
-            // Subprincipal edges toward target.
-            if node.principal.is_ancestor_of(to) {
-                let target_comps = to.components();
-                let have = node.principal.components().len();
-                if node.principal.root() == to.root() && have < target_comps.len() {
-                    let next = target_comps[have].to_string();
-                    let child = node.principal.sub(next.clone());
-                    if !seen.contains(&child) {
-                        let mut path = node.path.clone();
-                        path.push(Proof::SubPrin(node.principal.clone(), next));
-                        if &child == to {
-                            return Some(path);
-                        }
-                        seen.insert(child.clone());
-                        queue.push_back(Node {
-                            principal: child,
-                            path,
-                        });
-                    }
-                }
-            }
-        }
-        None
     }
 }
 

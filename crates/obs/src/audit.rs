@@ -26,6 +26,7 @@
 //! recovered from the monotone per-event sequence number, not from
 //! slot position.
 
+use crate::registry::{Collect, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -219,6 +220,21 @@ impl AuditJournal {
         events.sort_by_key(|e| std::cmp::Reverse(e.seq));
         events.truncate(n);
         events
+    }
+}
+
+impl Collect for AuditJournal {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        r.counter(
+            "nexus_audit_recorded_total",
+            "audit events recorded (slot claims)",
+            self.recorded(),
+        )
+        .counter(
+            "nexus_audit_dropped_total",
+            "audit events dropped in slot races",
+            self.dropped(),
+        );
     }
 }
 

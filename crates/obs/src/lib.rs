@@ -11,7 +11,7 @@
 //! * **[`MetricsRegistry`]** — unifies every stats surface behind
 //!   named counter/gauge/histogram samples, frozen into one
 //!   [`TelemetrySnapshot`] with Prometheus-style text and JSON
-//!   renderers.
+//!   renderers; each surface registers itself through [`Collect`].
 //! * **[`AuditJournal`]** — a bounded, torn-write-safe ring of
 //!   per-verdict [`AuditEvent`]s: who asked, what the answer was,
 //!   under which epochs, and (for denials) which subgoal the prover
@@ -31,7 +31,9 @@ pub mod registry;
 
 pub use audit::{event, AuditEvent, AuditJournal, AuditPath, AuditVerdict, StageSpans};
 pub use hist::{Histogram, HistogramSnapshot};
-pub use registry::{json_string, MetricSample, MetricsRegistry, SampleValue, TelemetrySnapshot};
+pub use registry::{
+    json_string, Collect, MetricSample, MetricsRegistry, SampleValue, TelemetrySnapshot,
+};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -171,6 +173,18 @@ impl StageTimers {
     pub fn reset(&self) {
         for h in &self.hists {
             h.reset();
+        }
+    }
+}
+
+impl Collect for StageTimers {
+    fn collect(&self, r: &mut MetricsRegistry) {
+        for stage in Stage::ALL {
+            r.histogram(
+                &format!("nexus_authz_stage_{}_ns", stage.name()),
+                &format!("authorize-path {} stage latency (ns)", stage.name()),
+                self.snapshot(stage),
+            );
         }
     }
 }

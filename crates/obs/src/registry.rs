@@ -1,10 +1,10 @@
 //! The unified metrics registry and its export formats.
 //!
 //! Every stats surface in the stack (`DecisionCacheStats`,
-//! `GuardStats`, `ProverStats`, `SearchStats`, `PoolStats`, the
-//! interpose counters, the stage histograms) reports through one
-//! [`MetricsRegistry`]: the holder registers each quantity under a
-//! stable name and the registry renders them all as one
+//! `GuardStats`, `ProverStats`, `PoolStats`, the interpose counters,
+//! the stage histograms, the replication counters) implements
+//! [`Collect`]: it registers its own quantities under stable names
+//! into one [`MetricsRegistry`], which renders them all as one
 //! [`TelemetrySnapshot`] — Prometheus-style text exposition or JSON,
 //! both hand-rolled (this crate is dependency-free).
 //!
@@ -101,6 +101,15 @@ impl MetricsRegistry {
             metrics: self.metrics,
         }
     }
+}
+
+/// A stats surface that registers its own samples. Implemented next
+/// to each stats struct, in the crate that owns it, so the holder of
+/// several subsystems (the kernel, a cluster node) collects by walking
+/// them instead of restating their fields.
+pub trait Collect {
+    /// Register every sample this surface owns, in a stable order.
+    fn collect(&self, r: &mut MetricsRegistry);
 }
 
 /// A frozen set of metric samples with text and JSON renderers.

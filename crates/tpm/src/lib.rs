@@ -9,8 +9,8 @@
 //! (wrong PCRs ⇒ unseal fails; re-imaged disk ⇒ DIR mismatch ⇒ boot
 //! abort) without hardware.
 //!
-//! Substitutions relative to the physical part (documented in
-//! DESIGN.md): SHA-256 instead of SHA-1, Ed25519 instead of RSA, and
+//! Substitutions relative to the physical part (documented under
+//! "Paper vs. measured" in the workspace README): SHA-256 instead of SHA-1, Ed25519 instead of RSA, and
 //! 32-byte instead of 20-byte integrity registers.
 //!
 //! ## Layout

@@ -12,7 +12,8 @@ use sha2::{Digest as Sha2Digest, Sha256};
 use std::fmt;
 
 /// Digest length in bytes (SHA-256; the original TPM v1.1 used
-/// 20-byte SHA-1, see DESIGN.md for the substitution rationale).
+/// 20-byte SHA-1, see "Paper vs. measured" in the workspace README
+/// for the substitution rationale).
 pub const DIGEST_LEN: usize = 32;
 
 /// Number of PCRs (per TPM v1.2).

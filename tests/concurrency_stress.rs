@@ -272,7 +272,6 @@ fn bounded_admission_under_load_never_wedges_or_lies() {
     // (overflow faults shed them to the inline path), async callers
     // must resolve promptly as either the correct verdict or a fault
     // — never a wrong answer, never an unbounded wait.
-    use nexus_kernel::OverflowPolicy;
     let nexus = Arc::new(Nexus::boot_default().unwrap());
     let owner = nexus.spawn("owner", b"img");
     nexus.fs_create(owner, "/b").unwrap();
@@ -289,7 +288,6 @@ fn bounded_admission_under_load_never_wedges_or_lies() {
         workers: 2,
         max_batch: 8,
         max_queued: 2,
-        overflow: OverflowPolicy::Reject,
         external_workers: 1,
         prioritizer: None,
         stage_timers: None,
