@@ -84,7 +84,7 @@ fn measure(obs: ObsConfig, iters: u64) -> (f64, u64) {
     (1e9 / ns, recorded)
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
+pub(crate) fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
     xs[xs.len() / 2]
 }

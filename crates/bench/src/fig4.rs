@@ -161,10 +161,30 @@ pub fn run(iters: u64) -> Vec<Point> {
 mod tests {
     use super::*;
 
+    /// Per-case medians over `reps` runs of every case. One run
+    /// visits the cases in order, so a case's repetitions are
+    /// interleaved with the others': a stall on the shared host costs
+    /// each case one repetition, not one case its only sample.
+    fn median_points(iters: u64, reps: usize) -> Vec<Point> {
+        let runs: Vec<Vec<Point>> = (0..reps).map(|_| run(iters)).collect();
+        let median_of = |i: usize, f: fn(&Point) -> f64| {
+            crate::fig12::median(runs.iter().map(|r| f(&r[i])).collect())
+        };
+        CASES
+            .iter()
+            .enumerate()
+            .map(|(i, case)| Point {
+                case,
+                cached_ns: median_of(i, |p| p.cached_ns),
+                uncached_ns: median_of(i, |p| p.uncached_ns),
+            })
+            .collect()
+    }
+
     #[test]
     fn cache_helps_cacheable_cases_only() {
         let _serial = crate::timing_guard();
-        let pts = run(300);
+        let pts = median_points(100, 5);
         let by = |n: &str| pts.iter().find(|p| p.case == n).unwrap().clone();
         // `pass` is cacheable: cached must be much cheaper.
         let pass = by("pass");

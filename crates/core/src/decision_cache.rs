@@ -33,9 +33,26 @@
 //! Slots store a 128-bit keyed fingerprint of the access-control
 //! tuple rather than the tuple itself (heap-backed strings cannot be
 //! read under optimistic concurrency). The two 64-bit halves come
-//! from independently keyed hashers seeded per cache instance at
-//! construction, so cross-tuple collisions are both astronomically
-//! unlikely (≈2⁻¹²⁸ per pair) and not predictable by an adversary.
+//! from independently keyed hashers seeded per table, so cross-tuple
+//! collisions are both astronomically unlikely (≈2⁻¹²⁸ per pair) and
+//! not predictable by an adversary.
+//!
+//! ## Probing with borrowed parts
+//!
+//! The subject of a tuple is a process's principal, fixed at spawn,
+//! so its share of the hashing is done once: a [`SubjectDigest`] is
+//! the principal's slot hash plus a 128-bit digest under keys that
+//! belong to the cache (not to a table, so a [`resize`] leaves every
+//! digest good). [`DecisionCache::probe`] then takes the digest, the
+//! operation as `&str` and the object by reference, and runs three
+//! short hash passes — the unkeyed (operation, object) hash that
+//! picks the subregion, and the two keyed lanes over the
+//! length-prefixed operation and object bytes followed by the digest
+//! — without building an `OpName`, a `Principal` or a [`CacheKey`].
+//! Fills and invalidations take the same borrowed form; the
+//! `CacheKey` methods digest the key's subject and call it.
+//!
+//! [`resize`]: DecisionCache::resize
 //!
 //! Fills are *epoch-validated*: [`DecisionCache::insert_if`] re-checks
 //! the caller's validity predicate inside the subregion writer lock,
@@ -62,6 +79,20 @@ pub struct CacheKey {
     pub operation: OpName,
     /// The resource.
     pub object: ResourceId,
+}
+
+/// A principal, hashed once for every probe it will ever make against
+/// one [`DecisionCache`] (see [`DecisionCache::digest`]). `Copy`, so
+/// the kernel publishes it per process and the hit path never touches
+/// the principal itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubjectDigest {
+    /// Unkeyed hash of the principal: picks the slot within a
+    /// subregion (reduced modulo the table's `subregion_slots`).
+    slot: u64,
+    /// The principal under the cache's two subject keys; folded into
+    /// both fingerprint lanes in place of the principal's bytes.
+    keyed: (u64, u64),
 }
 
 /// Cache configuration.
@@ -210,21 +241,36 @@ impl Table {
         }
     }
 
-    fn subregion_of(&self, operation: &OpName, object: &ResourceId) -> usize {
-        (DecisionCache::hash64(&(operation, object)) as usize) % self.shards.len()
+    /// `String` hashes as `str`, so this is the hash of the
+    /// `(&OpName, &ResourceId)` pair the owned key holds.
+    fn subregion_of(&self, operation: &str, object: &ResourceId) -> usize {
+        (DecisionCache::hash64(&(operation, object.0.as_str())) as usize) % self.shards.len()
     }
 
-    /// (shard index, slot index within it) for a key.
-    fn position_of(&self, key: &CacheKey) -> (usize, usize) {
-        let sub = self.subregion_of(&key.operation, &key.object);
-        let slot = (DecisionCache::hash64(&key.subject) as usize) % self.subregion_slots;
-        (sub, slot)
-    }
-
-    /// The 128-bit keyed fingerprint stored in (and compared against)
-    /// slots in place of the heap-backed tuple.
-    fn fingerprint(&self, key: &CacheKey) -> (u64, u64) {
-        (self.fp_a.hash_one(key), self.fp_b.hash_one(key))
+    /// The shard and slot a tuple maps to, and the 128-bit keyed
+    /// fingerprint stored in (and compared against) that slot in place
+    /// of the heap-backed tuple: each lane covers every byte of the
+    /// operation and the object, length-prefixed so no two splits of
+    /// the same bytes alias, then the subject's keyed digest.
+    fn locate(
+        &self,
+        subject: SubjectDigest,
+        operation: &str,
+        object: &ResourceId,
+    ) -> (&Shard, &SeqSlot, (u64, u64)) {
+        let shard = &self.shards[self.subregion_of(operation, object)];
+        let slot = &shard.slots[(subject.slot as usize) % self.subregion_slots];
+        let lane = |keys: &RandomState| {
+            let mut h = keys.build_hasher();
+            for part in [operation, object.0.as_str()] {
+                h.write_usize(part.len());
+                h.write(part.as_bytes());
+            }
+            h.write_u64(subject.keyed.0);
+            h.write_u64(subject.keyed.1);
+            h.finish()
+        };
+        (shard, slot, (lane(&self.fp_a), lane(&self.fp_b)))
     }
 }
 
@@ -271,6 +317,9 @@ impl StripedCounter {
 /// threads; the hit path takes no locks (see module docs).
 pub struct DecisionCache {
     table: Snapshot<Table>,
+    /// Keys of [`SubjectDigest`]s. Beside the table, not in it: a
+    /// digest taken before a `resize` probes the new table unchanged.
+    subject_keys: (RandomState, RandomState),
     hits: StripedCounter,
     misses: StripedCounter,
     read_retries: StripedCounter,
@@ -284,6 +333,7 @@ impl DecisionCache {
     pub fn new(cfg: DecisionCacheConfig) -> Self {
         DecisionCache {
             table: Snapshot::new(Table::new(cfg)),
+            subject_keys: (RandomState::new(), RandomState::new()),
             hits: StripedCounter::default(),
             misses: StripedCounter::default(),
             read_retries: StripedCounter::default(),
@@ -297,6 +347,19 @@ impl DecisionCache {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
         h.finish()
+    }
+
+    /// Digest a principal for this cache. Done once per process (the
+    /// kernel publishes the result in its hot index); valid for the
+    /// cache's lifetime, across `resize`.
+    pub fn digest(&self, subject: &Principal) -> SubjectDigest {
+        SubjectDigest {
+            slot: Self::hash64(subject),
+            keyed: (
+                self.subject_keys.0.hash_one(subject),
+                self.subject_keys.1.hash_one(subject),
+            ),
+        }
     }
 
     /// One optimistic probe of a slot: `None` means a writer was
@@ -350,16 +413,19 @@ impl DecisionCache {
         Some(slot.meta.load(Ordering::Relaxed) & ALLOW != 0)
     }
 
-    /// Look up a cached decision. This takes no locks: a hit is a
-    /// handful of atomic loads; a probe raced by a writer retries
-    /// (bounded) and then falls back to the locked probe. Every call
-    /// counts exactly one hit or one miss.
-    pub fn lookup(&self, key: &CacheKey) -> Option<bool> {
+    /// Look up a cached decision with what a caller already holds (see
+    /// module docs). This takes no locks and allocates nothing: a hit
+    /// is three hash passes and a handful of atomic loads; a probe
+    /// raced by a writer retries (bounded) and then falls back to the
+    /// locked probe. Every call counts exactly one hit or one miss.
+    pub fn probe(
+        &self,
+        subject: SubjectDigest,
+        operation: &str,
+        object: &ResourceId,
+    ) -> Option<bool> {
         self.table.read(|t, _| {
-            let (sub, idx) = t.position_of(key);
-            let (lo, hi) = t.fingerprint(key);
-            let shard = &t.shards[sub];
-            let slot = &shard.slots[idx];
+            let (shard, slot, (lo, hi)) = t.locate(subject, operation, object);
             // Writer mid-flight: a torn or in-progress slot is never
             // acted on — retry the probe.
             let mut probe = None;
@@ -388,6 +454,11 @@ impl DecisionCache {
         })
     }
 
+    /// [`probe`](Self::probe) by owned key.
+    pub fn lookup(&self, key: &CacheKey) -> Option<bool> {
+        self.probe(self.digest(&key.subject), &key.operation.0, &key.object)
+    }
+
     /// Insert a (cacheable) decision.
     pub fn insert(&self, key: CacheKey, allow: bool) {
         self.insert_if(key, allow, || true);
@@ -401,16 +472,20 @@ impl DecisionCache {
     /// insert is skipped) or is still waiting on the writer lock
     /// (then it clears this entry right after). Returns whether the
     /// entry was stored.
-    pub fn insert_if(&self, key: CacheKey, allow: bool, valid: impl FnOnce() -> bool) -> bool {
+    pub fn fill_if(
+        &self,
+        subject: SubjectDigest,
+        operation: &str,
+        object: &ResourceId,
+        allow: bool,
+        valid: impl FnOnce() -> bool,
+    ) -> bool {
         self.table.read(|t, _| {
-            let (sub, idx) = t.position_of(&key);
-            let (lo, hi) = t.fingerprint(&key);
-            let shard = &t.shards[sub];
+            let (shard, slot, (lo, hi)) = t.locate(subject, operation, object);
             let _g = shard.write_lock.lock();
             if !valid() {
                 return false;
             }
-            let slot = &shard.slots[idx];
             // Another subject's live entry in this slot is displaced.
             if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0 && !slot.holds(lo, hi) {
                 self.collisions.fetch_add(1, Ordering::Relaxed);
@@ -420,15 +495,18 @@ impl DecisionCache {
         })
     }
 
-    /// Invalidate the single entry for `key` — a proof update (§2.8:
+    /// [`fill_if`](Self::fill_if) by owned key.
+    pub fn insert_if(&self, key: CacheKey, allow: bool, valid: impl FnOnce() -> bool) -> bool {
+        let subject = self.digest(&key.subject);
+        self.fill_if(subject, &key.operation.0, &key.object, allow, valid)
+    }
+
+    /// Invalidate the single entry for a tuple — a proof update (§2.8:
     /// "On a proof update, the kernel clears a single entry").
-    pub fn invalidate_entry(&self, key: &CacheKey) {
+    pub fn invalidate(&self, subject: SubjectDigest, operation: &str, object: &ResourceId) {
         self.table.read(|t, _| {
-            let (sub, idx) = t.position_of(key);
-            let (lo, hi) = t.fingerprint(key);
-            let shard = &t.shards[sub];
+            let (shard, slot, (lo, hi)) = t.locate(subject, operation, object);
             let _g = shard.write_lock.lock();
-            let slot = &shard.slots[idx];
             if slot.holds(lo, hi) {
                 Self::write_way(slot, None, false);
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
@@ -436,13 +514,17 @@ impl DecisionCache {
         })
     }
 
+    /// [`invalidate`](Self::invalidate) by owned key.
+    pub fn invalidate_entry(&self, key: &CacheKey) {
+        self.invalidate(self.digest(&key.subject), &key.operation.0, &key.object)
+    }
+
     /// Invalidate the whole subregion for (operation, object) — a
     /// `setgoal` may affect many subjects, but they all hash into one
     /// subregion, so the invalidation takes exactly one writer lock.
     pub fn invalidate_subregion(&self, operation: &OpName, object: &ResourceId) {
         self.table.read(|t, _| {
-            let sub = t.subregion_of(operation, object);
-            let shard = &t.shards[sub];
+            let shard = &t.shards[t.subregion_of(&operation.0, object)];
             let _g = shard.write_lock.lock();
             for slot in &shard.slots {
                 if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0 {
@@ -520,7 +602,7 @@ impl DecisionCache {
     /// Subregion index of an (operation, object) pair (test support:
     /// lets tests detect accidental subregion sharing).
     pub fn subregion_of(&self, operation: &OpName, object: &ResourceId) -> usize {
-        self.table.read(|t, _| t.subregion_of(operation, object))
+        self.table.read(|t, _| t.subregion_of(&operation.0, object))
     }
 }
 
@@ -707,6 +789,88 @@ mod tests {
         }
     }
 
+    // ---- the borrowed probe and the owned-key adapters are one cache ----
+
+    #[test]
+    fn owned_and_borrowed_forms_reach_the_same_entries() {
+        let c = DecisionCache::default();
+        let k = key("alice", "read", "file:/x");
+        let d = c.digest(&k.subject);
+
+        c.insert(k.clone(), true);
+        assert_eq!(c.probe(d, "read", &k.object), Some(true));
+        c.invalidate(d, "read", &k.object);
+        assert_eq!(c.lookup(&k), None);
+
+        assert!(c.fill_if(d, "read", &k.object, false, || true));
+        assert_eq!(c.lookup(&k), Some(false));
+        c.invalidate_entry(&k);
+        assert_eq!(c.probe(d, "read", &k.object), None);
+        assert_eq!(c.stats().invalidations, 2);
+    }
+
+    #[test]
+    fn operation_object_boundary_is_part_of_the_fingerprint() {
+        // One subregion, one slot: both tuples land on the same slot,
+        // so only the fingerprint tells them apart.
+        let c = DecisionCache::new(DecisionCacheConfig {
+            total_slots: 1,
+            subregion_slots: 1,
+        });
+        let d = c.digest(&Principal::name("alice"));
+        assert!(c.fill_if(d, "ab", &ResourceId("c".into()), true, || true));
+        assert_eq!(c.probe(d, "a", &ResourceId("bc".into())), None);
+        assert_eq!(c.probe(d, "abc", &ResourceId(String::new())), None);
+        assert_eq!(c.probe(d, "ab", &ResourceId("c".into())), Some(true));
+    }
+
+    #[test]
+    fn digest_survives_resize() {
+        let c = DecisionCache::default();
+        let k = key("alice", "read", "file:/x");
+        let d = c.digest(&k.subject);
+        c.resize(DecisionCacheConfig {
+            total_slots: 64,
+            subregion_slots: 8,
+        });
+        c.insert(k.clone(), true);
+        assert_eq!(c.probe(d, "read", &k.object), Some(true));
+        assert_eq!(d, c.digest(&k.subject));
+    }
+
+    #[test]
+    fn placement_is_the_owned_keys_formula() {
+        // Subregion and slot are part of the contract (which pairs
+        // stay resident, how many entries one `setgoal` clears): they
+        // must equal the hashes of the owned `(&OpName, &ResourceId)`
+        // pair and of the `Principal`.
+        let cfg = DecisionCacheConfig::default();
+        let c = DecisionCache::new(cfg);
+        let subregions = c.subregion_count();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..1_000 {
+            let k = key(
+                &format!("/proc/ipd/{}", next() % 4096),
+                ["read", "write", "open", "setgoal"][(next() % 4) as usize],
+                &format!("file:/{:x}", next()),
+            );
+            let sub = (DecisionCache::hash64(&(&k.operation, &k.object)) as usize) % subregions;
+            let idx = (DecisionCache::hash64(&k.subject) as usize) % cfg.subregion_slots;
+            assert_eq!(c.subregion_of(&k.operation, &k.object), sub);
+            c.table.read(|t, _| {
+                let (shard, slot, _) = t.locate(c.digest(&k.subject), &k.operation.0, &k.object);
+                assert!(std::ptr::eq(shard, &t.shards[sub]), "subregion of {k:?}");
+                assert!(std::ptr::eq(slot, &shard.slots[idx]), "slot of {k:?}");
+            });
+        }
+    }
+
     // ---- seqlock sabotage tests (ISSUE 6): force the race windows ----
 
     #[test]
@@ -722,8 +886,7 @@ mod tests {
         let before = c.stats();
 
         c.table.read(|t, _| {
-            let (sub, idx) = t.position_of(&k);
-            let slot = &t.shards[sub].slots[idx];
+            let (_, slot, _) = t.locate(c.digest(&k.subject), &k.operation.0, &k.object);
             let s = slot.seq.load(Ordering::Relaxed);
             // Begin a write that never completes: odd sequence, then
             // scramble the verdict bit mid-payload.

@@ -49,7 +49,7 @@ pub mod snapshot;
 
 pub use authority::{Authority, AuthorityKind, AuthorityRegistry, FnAuthority};
 pub use credential::Certificate;
-pub use decision_cache::{CacheKey, DecisionCache, DecisionCacheConfig};
+pub use decision_cache::{CacheKey, DecisionCache, DecisionCacheConfig, SubjectDigest};
 pub use error::CoreError;
 pub use goal::{GoalEntry, GoalStore};
 pub use guard::{

@@ -2,7 +2,7 @@
 //! the lock-free authorization path.
 //!
 //! A [`Snapshot<T>`] publishes immutable `Arc<T>` values under a
-//! monotonically increasing *version*. Readers never block behind a
+//! monotonically increasing *version*. Readers do not block behind a
 //! writer: the hot path is one atomic version load plus a lookup in a
 //! thread-local cache of `(version, Arc<T>)` pairs — no shared
 //! reference-count traffic, no reader-count cache line to ping-pong,
@@ -32,22 +32,38 @@
 //! that captured it after can still have read the *previous* value
 //! (publication pending) — which is exactly what the version
 //! comparison catches. Both checks together restore "lock held ⇒
-//! consistent" without the lock.
+//! consistent" without the lock. A thread-local hit really does read
+//! the previous value while a writer sits between its epoch bump and
+//! its version bump, so the version comparison is load-bearing.
 //!
 //! ## Thread-local cache
 //!
-//! The per-thread cache is keyed by a process-unique snapshot id. It
-//! is taken out of its cell for the duration of a read (a re-entrant
-//! read simply misses the cache and takes the writer-lock slow path),
-//! so no `RefCell` double-borrow is possible. The cache is bounded:
-//! when it grows past `TLS_CACHE_MAX` entries it is dropped
-//! wholesale and rebuilt on demand, so threads that outlive many
-//! kernels (the test harness) cannot accumulate dead snapshots.
+//! The per-thread cache is keyed by a process-unique snapshot id and
+//! starts out as an empty map, so a thread's first read of a snapshot
+//! installs its entry and every later read at the same version stays
+//! on the thread. The slow path — a short hold of the writer mutex to
+//! clone the `Arc` — is taken in exactly two cases: the version moved
+//! since this thread's last read (or it never read this snapshot),
+//! and a *re-entrant* read. The map is taken out of its cell for the
+//! duration of a read, so a read issued from inside another read's
+//! closure finds the cell empty and goes to the mutex; no `RefCell`
+//! double-borrow is possible.
+//!
+//! What the cache pins: each thread holds an `Arc` to the last
+//! version it read of every snapshot it has touched, including
+//! snapshots whose owner has since been dropped. The bound is a
+//! wholesale reset: a read that finds more than `TLS_CACHE_MAX`
+//! entries drops them all and rebuilds on demand, so a dead
+//! snapshot's value is freed once its thread has read more than
+//! `TLS_CACHE_MAX` further distinct snapshots, or when the thread
+//! exits — whichever comes first.
 
 use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -57,24 +73,49 @@ const TLS_CACHE_MAX: usize = 64;
 /// Process-wide id source so every snapshot gets a distinct TLS key.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
-type TlsMap = HashMap<u64, (u64, Arc<dyn Any + Send + Sync>)>;
+/// Hasher for the thread-local map. Its keys are the sequential ids
+/// `NEXT_ID` hands out — nothing outside the process chooses them — so
+/// one odd multiply spreads them over both the low (bucket) and high
+/// (control byte) bits the table uses; SipHash would cost more than
+/// the rest of the read.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("snapshot ids are hashed through write_u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type TlsEntry = (u64, Arc<dyn Any + Send + Sync>);
+type TlsMap = HashMap<u64, TlsEntry, BuildHasherDefault<IdHasher>>;
 
 thread_local! {
-    /// id → (version, value) cache. Held in a `Cell<Option<…>>` and
-    /// *taken* for the duration of a read; see module docs.
-    static TLS_CACHE: Cell<Option<Box<TlsMap>>> = const { Cell::new(None) };
+    /// id → (version, value) cache. Starts as an empty map and is
+    /// *taken* for the duration of a read, so `None` means exactly "a
+    /// read is in progress on this thread"; see module docs.
+    static TLS_CACHE: Cell<Option<TlsMap>> =
+        const { Cell::new(Some(HashMap::with_hasher(BuildHasherDefault::new()))) };
 }
 
 /// Restores the thread-local cache when a read completes (including
 /// by unwind, so a panicking reader closure cannot permanently
 /// degrade the thread to the slow path).
-struct PutBack(Option<Box<TlsMap>>);
+struct PutBack(TlsMap);
 
 impl Drop for PutBack {
     fn drop(&mut self) {
-        if let Some(map) = self.0.take() {
-            TLS_CACHE.with(|c| c.set(Some(map)));
-        }
+        // During thread teardown the cell may already be gone; the
+        // map (and the values it pins) is then simply dropped here.
+        let _ = TLS_CACHE.try_with(|c| c.set(Some(std::mem::take(&mut self.0))));
     }
 }
 
@@ -108,49 +149,50 @@ impl<T: Send + Sync + 'static> Snapshot<T> {
     /// receives the value and the version it was published under.
     ///
     /// The fast path (version unchanged since this thread's last read)
-    /// is one atomic load and a thread-local map probe — no shared
-    /// writes at all. On a version change (or a re-entrant read) the
-    /// slow path briefly takes the writer mutex to clone the `Arc`.
-    /// The value may be one publication behind the instant `f` runs;
-    /// callers needing freshness re-check [`Snapshot::version`]
-    /// afterwards (see module docs).
+    /// is one atomic load and one thread-local map probe — no lock, no
+    /// shared write. On a version change, a first read, or a
+    /// re-entrant read the slow path briefly takes the writer mutex to
+    /// clone the `Arc`. The value may be one publication behind the
+    /// instant `f` runs; callers needing freshness re-check
+    /// [`Snapshot::version`] afterwards (see module docs).
     pub fn read<R>(&self, f: impl FnOnce(&T, u64) -> R) -> R {
         let v = self.version.load(Ordering::Acquire);
-        let Some(mut map) = TLS_CACHE.with(|c| c.take()) else {
-            // Re-entrant read (an outer read holds the cache): fall
-            // back to a short lock + Arc clone. Correct, just slower.
-            let (arc, ver) = self.load_slow();
+        let Some(mut map) = TLS_CACHE.try_with(Cell::take).ok().flatten() else {
+            // Re-entrant read (an outer read holds the cache), or the
+            // thread is tearing down: a short lock + Arc clone.
+            // Correct, just slower.
+            let (ver, arc) = self.load_slow();
             return f(&arc, ver);
         };
         if map.len() > TLS_CACHE_MAX {
             map.clear();
         }
-        match map.get(&self.id) {
-            Some((ver, _)) if *ver == v => {}
-            _ => {
-                let (arc, ver) = self.load_slow();
-                map.insert(self.id, (ver, arc));
+        let mut cache = PutBack(map);
+        let (ver, any) = match cache.0.entry(self.id) {
+            Entry::Occupied(e) => {
+                let cached = e.into_mut();
+                if cached.0 != v {
+                    let (ver, arc) = self.load_slow();
+                    *cached = (ver, arc);
+                }
+                cached
             }
-        }
-        let put_back = PutBack(Some(map));
-        let (ver, any) = put_back
-            .0
-            .as_ref()
-            .expect("map present until drop")
-            .get(&self.id)
-            .expect("entry inserted above");
+            Entry::Vacant(e) => {
+                let (ver, arc) = self.load_slow();
+                e.insert((ver, arc))
+            }
+        };
         let value: &T = any.downcast_ref::<T>().expect("id is unique per type");
         f(value, *ver)
     }
 
     /// Slow path: take the writer lock and clone out a coherent
-    /// (value, version) pair. The version is re-read under the lock
+    /// (version, value) pair. The version is re-read under the lock
     /// so it cannot be torn against the value.
-    fn load_slow(&self) -> (Arc<T>, u64) {
+    fn load_slow(&self) -> (u64, Arc<T>) {
         let guard = self.current.lock();
         let arc = Arc::clone(&guard);
-        let ver = self.version.load(Ordering::Acquire);
-        (arc, ver)
+        (self.version.load(Ordering::Acquire), arc)
     }
 
     /// Replace the published value (version bumps by one).
@@ -254,6 +296,74 @@ mod tests {
             let s = Snapshot::new(i);
             assert_eq!(s.read(|v, _| *v), i);
         }
+    }
+
+    #[test]
+    fn seqlock_snapshot_dead_values_are_unpinned_by_reset_and_thread_exit() {
+        // Read a snapshot once, drop it, and hand back a probe for
+        // whether its value is still alive somewhere.
+        fn read_then_drop() -> std::sync::Weak<()> {
+            let value = Arc::new(());
+            let weak = Arc::downgrade(&value);
+            Snapshot::new(value).read(|_, _| ());
+            weak
+        }
+        // Own threads, so the cache starts empty whatever ran before.
+        std::thread::spawn(|| {
+            let weak = read_then_drop();
+            assert!(
+                weak.upgrade().is_some(),
+                "the reading thread pins the last version it read"
+            );
+            // One more distinct snapshot than the cap: the last read
+            // finds the cache over the bound and resets it.
+            let later: Vec<Snapshot<usize>> = (0..=TLS_CACHE_MAX).map(Snapshot::new).collect();
+            for (i, l) in later.iter().enumerate() {
+                assert_eq!(l.read(|v, _| *v), i);
+            }
+            assert!(weak.upgrade().is_none(), "reset must free dead snapshots");
+        })
+        .join()
+        .unwrap();
+
+        let weak = std::thread::spawn(read_then_drop).join().unwrap();
+        assert!(weak.upgrade().is_none(), "thread exit must free the cache");
+    }
+
+    #[test]
+    fn seqlock_snapshot_reader_is_not_blocked_by_a_parked_writer() {
+        use std::sync::mpsc;
+        use std::time::{Duration, Instant};
+        let s = Arc::new(Snapshot::new(7u64));
+        // This thread's first read installs its fast path.
+        assert_eq!(s.read(|v, _| *v), 7);
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let writer = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                s.update(|v| {
+                    parked_tx.send(()).unwrap();
+                    // Parked inside the writer lock. The timeout only
+                    // bounds the test where the reader does block.
+                    let _ = release_rx.recv_timeout(Duration::from_millis(500));
+                    *v += 1;
+                })
+            })
+        };
+        parked_rx.recv().unwrap();
+        let t0 = Instant::now();
+        let seen = s.read(|v, ver| (*v, ver));
+        let waited = t0.elapsed();
+        // (A writer that timed out has already hung up.)
+        let _ = release_tx.send(());
+        writer.join().unwrap();
+        assert_eq!(seen, (7, 0), "nothing was published while the writer sat");
+        assert!(
+            waited < Duration::from_millis(100),
+            "read waited {waited:?} behind a writer parked in update"
+        );
+        assert_eq!(s.read(|v, ver| (*v, ver)), (8, 1));
     }
 
     #[test]

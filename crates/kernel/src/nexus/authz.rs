@@ -6,7 +6,7 @@
 use super::{Nexus, NexusConfig};
 use crate::error::KernelError;
 use nexus_authzd::{AuthzOutcome, AuthzRequest, AuthzTicket};
-use nexus_core::{AccessRequest, CacheKey, Guard, OpName, ResourceId};
+use nexus_core::{AccessRequest, Guard, OpName, ResourceId, SubjectDigest};
 use nexus_nal::{BatchGoal, Formula, Principal, Proof, ProverConfig, Term};
 use nexus_obs::{event as audit_event, AuditPath, AuditVerdict, Stage};
 use std::sync::atomic::Ordering;
@@ -33,11 +33,9 @@ impl Nexus {
         object: &ResourceId,
         inline_proof: Option<&Proof>,
     ) -> Result<bool, KernelError> {
-        let cfg = self.config();
-        let opn = OpName::from(op);
-        let outcome = match self.route_authz(pid, &opn, object, inline_proof, &cfg)? {
+        let outcome = match self.route_authz(pid, op, object, inline_proof)? {
             AuthzRoute::Cached(allow) => return Ok(allow),
-            AuthzRoute::Submitted(ticket) => match ticket.wait() {
+            AuthzRoute::Submitted(ticket, opn) => match ticket.wait() {
                 // A fault (the pool shed the submission, raced a
                 // shutdown mid-flight, or epoch churn starved the
                 // batch) degrades to evaluation on the caller's
@@ -46,7 +44,7 @@ impl Nexus {
                 AuthzOutcome::Fault(_) => self.evaluate_inline(pid, &opn, object, inline_proof),
                 verdict => verdict,
             },
-            AuthzRoute::Evaluate => self.evaluate_inline(pid, &opn, object, inline_proof),
+            AuthzRoute::Evaluate(opn) => self.evaluate_inline(pid, &opn, object, inline_proof),
         };
         match outcome {
             AuthzOutcome::Allow => Ok(true),
@@ -82,12 +80,10 @@ impl Nexus {
         object: &ResourceId,
         inline_proof: Option<&Proof>,
     ) -> Result<AuthzTicket, KernelError> {
-        let cfg = self.config();
-        let opn = OpName::from(op);
-        match self.route_authz(pid, &opn, object, inline_proof, &cfg)? {
+        match self.route_authz(pid, op, object, inline_proof)? {
             AuthzRoute::Cached(allow) => Ok(AuthzTicket::ready(outcome_of(allow))),
-            AuthzRoute::Submitted(ticket) => Ok(ticket),
-            AuthzRoute::Evaluate => Ok(AuthzTicket::ready(self.evaluate_inline(
+            AuthzRoute::Submitted(ticket, _) => Ok(ticket),
+            AuthzRoute::Evaluate(opn) => Ok(AuthzTicket::ready(self.evaluate_inline(
                 pid,
                 &opn,
                 object,
@@ -101,31 +97,25 @@ impl Nexus {
     /// the pipeline when it is running. `Evaluate` means the caller
     /// must evaluate on its own thread (no pipeline, or it raced a
     /// shutdown).
+    ///
+    /// A cached verdict returns having taken no lock and allocated
+    /// nothing: everything it reads is `Copy` or borrowed from the
+    /// caller. The owned operation name — and, further in, the
+    /// principal — exist only once the probe has missed.
     fn route_authz(
         &self,
         pid: u64,
-        opn: &OpName,
+        op: &str,
         object: &ResourceId,
         inline_proof: Option<&Proof>,
-        cfg: &NexusConfig,
     ) -> Result<AuthzRoute, KernelError> {
-        // The hot-index read resolves the subject principal and the
-        // live label shape with zero locks — the submission path never
-        // waits behind a spawn or a `say`.
-        let (subject, label_shape) = self
-            .ipd_hot
-            .read(|m, _| {
-                m.get(&pid)
-                    .map(|h| (h.principal.clone(), h.shape.load(Ordering::Relaxed)))
-            })
-            .ok_or(KernelError::NoSuchIpd(pid))?;
+        // The hot-index read resolves the subject's cache digest and
+        // the live label shape with zero locks — the submission path
+        // never waits behind a spawn or a `say`.
+        let (subject, label_shape) =
+            self.with_hot(pid, |h| (h.digest, h.shape.load(Ordering::Relaxed)))?;
         let telemetry_on = self.telemetry.enabled();
-        if cfg.decision_cache {
-            let key = CacheKey {
-                subject: subject.clone(),
-                operation: opn.clone(),
-                object: object.clone(),
-            };
+        if self.decision_cache_on() {
             // Hit-path auditing is *sampled*: the ticked decision —
             // one striped relaxed fetch_add — happens before the
             // lookup so only 1-in-2^shift entries ever pay for a
@@ -136,13 +126,14 @@ impl Nexus {
             } else {
                 None
             };
-            if let Some(allow) = self.dcache.lookup(&key) {
+            if let Some(allow) = self.dcache.probe(subject, op, object) {
                 if let Some(start) = hit_start {
-                    self.audit_cache_hit(pid, opn, object, allow, start);
+                    self.audit_cache_hit(pid, op, object, allow, start);
                 }
                 return Ok(AuthzRoute::Cached(allow));
             }
         }
+        let opn = OpName::from(op);
         if let Some(pool) = self.authz_pool() {
             // The label shape is a coalescing hint: requests batch
             // only with same-shaped credential sets, so the batch
@@ -153,14 +144,14 @@ impl Nexus {
                 op: opn.clone(),
                 object: object.clone(),
                 proof: inline_proof.cloned(),
-                external: self.classify_external(&subject, opn, object, inline_proof),
+                external: self.classify_external(pid, &opn, object, inline_proof),
                 label_shape,
                 submitted_at: telemetry_on.then(Instant::now),
             }) {
-                return Ok(AuthzRoute::Submitted(ticket));
+                return Ok(AuthzRoute::Submitted(ticket, opn));
             }
         }
-        Ok(AuthzRoute::Evaluate)
+        Ok(AuthzRoute::Evaluate(opn))
     }
 
     /// Classify a request *before* evaluation: could checking it
@@ -183,7 +174,7 @@ impl Nexus {
     /// atomic load.
     fn classify_external(
         &self,
-        subject: &Principal,
+        pid: u64,
         opn: &OpName,
         object: &ResourceId,
         inline_proof: Option<&Proof>,
@@ -202,9 +193,12 @@ impl Nexus {
             })
             || match inline_proof {
                 Some(p) => leaves_external(p),
+                // The principal is cloned out first: a store read
+                // nested inside the index read would be re-entrant.
                 None => self
-                    .proofs
-                    .inspect(subject, opn, object, leaves_external)
+                    .with_hot(pid, |h| h.principal.clone())
+                    .ok()
+                    .and_then(|subject| self.proofs.inspect(&subject, opn, object, leaves_external))
                     .unwrap_or(false),
             }
     }
@@ -298,13 +292,10 @@ impl Nexus {
                         let cacheable =
                             decision.cacheable && (p.auto_goal.is_none() || decision.allow);
                         if cfg.decision_cache && cacheable {
-                            let key = CacheKey {
-                                subject: p.subject.clone(),
-                                operation: opn.clone(),
-                                object: object.clone(),
-                            };
                             self.dcache
-                                .insert_if(key, decision.allow, || self.stamp_still_valid(&stamp));
+                                .fill_if(p.digest, &opn.0, object, decision.allow, || {
+                                    self.stamp_still_valid(&stamp)
+                                });
                         }
                         outcome_of(decision.allow)
                     }
@@ -378,14 +369,14 @@ impl Nexus {
     fn audit_cache_hit(
         &self,
         pid: u64,
-        opn: &OpName,
+        op: &str,
         object: &ResourceId,
         allow: bool,
         start: Instant,
     ) {
         let mut ev = audit_event(
             pid,
-            opn.0.clone(),
+            op,
             object.0.clone(),
             verdict_of(allow),
             AuditPath::CacheHit,
@@ -412,10 +403,7 @@ impl Nexus {
         supplied: Option<&Proof>,
         cfg: &NexusConfig,
     ) -> Result<PreparedRequest, KernelError> {
-        let subject = self
-            .ipd_hot
-            .read(|m, _| m.get(&pid).map(|h| h.principal.clone()))
-            .ok_or(KernelError::NoSuchIpd(pid))?;
+        let (subject, digest) = self.with_hot(pid, |h| (h.principal.clone(), h.digest))?;
         // The subject's credentials: its labelstore plus the request
         // itself, which arrived over the attested syscall channel and
         // is therefore an utterance the kernel can vouch for. The
@@ -447,6 +435,7 @@ impl Nexus {
         });
         Ok(PreparedRequest {
             subject,
+            digest,
             labels,
             proof,
             auto_goal,
@@ -537,10 +526,11 @@ impl Nexus {
 enum AuthzRoute {
     /// The decision cache answered.
     Cached(bool),
-    /// Submitted to the running pipeline.
-    Submitted(AuthzTicket),
+    /// Submitted to the running pipeline (the name is kept for the
+    /// caller-thread evaluation a faulted ticket falls back to).
+    Submitted(AuthzTicket, OpName),
     /// Caller evaluates on its own thread.
-    Evaluate,
+    Evaluate(OpName),
 }
 
 /// One request as [`Nexus::evaluate_authz`] sees it; the operation and
@@ -557,6 +547,8 @@ pub(super) struct EvalRequest<'a> {
 /// request per evaluation attempt.
 struct PreparedRequest {
     subject: Principal,
+    /// `subject` as the decision cache fills for it.
+    digest: SubjectDigest,
     labels: Vec<Formula>,
     proof: Option<Proof>,
     /// The goal instantiated for this request, present exactly when it

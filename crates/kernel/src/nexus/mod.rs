@@ -10,13 +10,15 @@
 //!
 //! The kernel is shared: every system-call entry point takes `&self`,
 //! so an `Arc<Nexus>` serves syscalls from many threads at once.
-//! The authorization *read* path is lock-free: a decision-cache hit
-//! is a seqlock probe (atomic loads, no lock word), the goal/proof
-//! stores publish epoch-stamped snapshots readers never block on, and
-//! the submission path resolves the subject principal and label shape
-//! through the kernel's own published [`Snapshot`] index (`ipd_hot`)
-//! rather than the IPD table's lock. The remaining subsystems sit
-//! behind their own locks. Lock discipline: locks are leaf-scoped —
+//! The authorization *read* path is lock-free and, on a cached allow,
+//! allocation-free: the switches are one atomic word, the subject's
+//! [`nexus_core::SubjectDigest`] and label shape come off the kernel's
+//! own published [`Snapshot`] index (`ipd_hot`) rather than the IPD
+//! table's lock, a decision-cache hit is a seqlock probe (atomic
+//! loads, no lock word) keyed by that digest and the caller's borrowed
+//! operation and object, and the goal/proof stores publish
+//! epoch-stamped snapshots readers never block on. The remaining
+//! subsystems sit behind their own locks. Lock discipline: locks are leaf-scoped —
 //! no method holds one subsystem's lock while acquiring another's,
 //! except `transfer_label` (one table, one lock) and `fs_server_hop`
 //! (holds the IPC lock across the modeled client-server round trip so
@@ -73,8 +75,7 @@ use nexus_storage::{RamDisk, SsrManager, StorageError, VdirTable, VkeyTable};
 use nexus_tpm::Tpm;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use process::IpdHot;
-use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use telemetry::KernelTelemetry;
 
@@ -130,6 +131,27 @@ impl Default for NexusConfig {
             authorize_fs: true,
             obs: ObsConfig::default(),
         }
+    }
+}
+
+/// Bit of each [`NexusConfig`] switch in `Nexus::switches`.
+const INTERPOSE_SYSCALLS: u8 = 1;
+const DECISION_CACHE: u8 = 1 << 1;
+const AUTO_PROVE: u8 = 1 << 2;
+const AUTHORIZE_FS: u8 = 1 << 3;
+const OBS_ENABLED: u8 = 1 << 4;
+
+impl NexusConfig {
+    fn switches(&self) -> u8 {
+        [
+            (self.interpose_syscalls, INTERPOSE_SYSCALLS),
+            (self.decision_cache, DECISION_CACHE),
+            (self.auto_prove, AUTO_PROVE),
+            (self.authorize_fs, AUTHORIZE_FS),
+            (self.obs.enabled, OBS_ENABLED),
+        ]
+        .into_iter()
+        .fold(0, |word, (on, bit)| if on { word | bit } else { word })
     }
 }
 
@@ -209,20 +231,28 @@ pub struct Nexus {
     authzd: RwLock<Option<Arc<GuardPool>>>,
     ipds: RwLock<IpdTable>,
     /// Lock-free index over the hot per-process facts the submission
-    /// path needs — principal, scheduler name, live label-shape word —
-    /// so `route_authz` and the pipeline's prioritizer never take the
-    /// `ipds` lock per request. Both spawn paths publish here under
-    /// the `ipds` write lock and nothing else can add a pid (or remove
-    /// one: there is no kill), so the index is authoritative — a pid
-    /// absent here does not exist.
-    ipd_hot: Snapshot<HashMap<u64, IpdHot>>,
+    /// path needs — principal and its decision-cache digest, scheduler
+    /// name, live label-shape word — so `route_authz` and the
+    /// pipeline's prioritizer never take the `ipds` lock per request.
+    /// Pids are dense and sequential from 1, so entry `pid - 1` is
+    /// pid's; entries are shared by `Arc`, so a spawn's republication
+    /// copies pointers. Both spawn paths publish here under the `ipds`
+    /// write lock and nothing else can add a pid (or remove one: there
+    /// is no kill), so the index is authoritative — a pid absent here
+    /// does not exist.
+    ipd_hot: Snapshot<Vec<Arc<IpdHot>>>,
     goals: GoalStore,
     proofs: ProofStore,
     dcache: DecisionCache,
     guard: Guard,
     authorities: AuthorityRegistry,
     fs: Mutex<RamFs>,
-    cfg: RwLock<NexusConfig>,
+    /// The [`NexusConfig`] switches, one bit each: the hit path tests
+    /// `decision_cache` with a single load. Relaxed throughout — a
+    /// switch publishes no other data.
+    switches: AtomicU8,
+    /// The telemetry knobs, which apply at boot only.
+    boot_obs: ObsConfig,
     clock: AtomicU64,
     /// Bumped whenever a label is *removed* from a labelstore
     /// (additions can only turn uncached denies into allows, but a
@@ -288,14 +318,15 @@ impl Nexus {
             sched: StrideScheduler::new(),
             authzd: RwLock::new(None),
             ipds: RwLock::new(IpdTable::new()),
-            ipd_hot: Snapshot::new(HashMap::new()),
+            ipd_hot: Snapshot::new(Vec::new()),
             goals: GoalStore::new(),
             proofs: ProofStore::new(),
             dcache: DecisionCache::new(DecisionCacheConfig::default()),
             guard: Guard::new(),
             authorities: AuthorityRegistry::new(),
             fs: Mutex::new(RamFs::new()),
-            cfg: RwLock::new(cfg),
+            switches: AtomicU8::new(cfg.switches()),
+            boot_obs: cfg.obs,
             clock: AtomicU64::new(0),
             label_removal_epoch: AtomicU64::new(0),
             first_boot,
@@ -323,9 +354,27 @@ impl Nexus {
         self.first_boot
     }
 
-    /// Current configuration (a copy).
+    /// Current configuration (a copy): the switches as last set, the
+    /// telemetry knobs as booted.
     pub fn config(&self) -> NexusConfig {
-        *self.cfg.read()
+        let word = self.switches.load(Ordering::Relaxed);
+        let on = |bit: u8| word & bit != 0;
+        NexusConfig {
+            interpose_syscalls: on(INTERPOSE_SYSCALLS),
+            decision_cache: on(DECISION_CACHE),
+            auto_prove: on(AUTO_PROVE),
+            authorize_fs: on(AUTHORIZE_FS),
+            obs: ObsConfig {
+                enabled: on(OBS_ENABLED),
+                ..self.boot_obs
+            },
+        }
+    }
+
+    /// Is the decision cache switched on? The one switch the hit path
+    /// reads.
+    fn decision_cache_on(&self) -> bool {
+        self.switches.load(Ordering::Relaxed) & DECISION_CACHE != 0
     }
 
     /// Mutate configuration (benchmark harness). The telemetry master
@@ -334,7 +383,7 @@ impl Nexus {
     /// checks.
     pub fn set_config(&self, cfg: NexusConfig) {
         self.telemetry.stages.set_enabled(cfg.obs.enabled);
-        *self.cfg.write() = cfg;
+        self.switches.store(cfg.switches(), Ordering::Relaxed);
     }
 
     // ---- subsystem access ----

@@ -46,11 +46,11 @@ impl Nexus {
                 if kernel.sched.is_idle() {
                     return 0;
                 }
-                kernel.ipd_hot.read(|m, _| {
-                    m.get(&req.pid)
-                        .and_then(|h| kernel.sched.weight(&h.name))
-                        .unwrap_or(0)
-                })
+                kernel
+                    .with_hot(req.pid, |h| kernel.sched.weight(&h.name))
+                    .ok()
+                    .flatten()
+                    .unwrap_or(0)
             }) as nexus_authzd::pool::Prioritizer)
         });
         // Unless the caller supplied its own timers, the pool records

@@ -3,6 +3,7 @@
 use super::Nexus;
 use crate::error::KernelError;
 use crate::ipd::IpdTable;
+use nexus_core::SubjectDigest;
 use nexus_nal::Principal;
 use parking_lot::RwLockReadGuard;
 use std::sync::atomic::AtomicU64;
@@ -12,9 +13,11 @@ use std::sync::Arc;
 /// published into the `ipd_hot` snapshot at spawn. The shape word is
 /// the labelstore's own live atomic (shared by `Arc`), so `say`/
 /// `transfer_label` update it in place with no republication.
-#[derive(Clone)]
 pub(super) struct IpdHot {
     pub(super) principal: Principal,
+    /// `principal` as the decision cache probes for it: all a cached
+    /// allow reads of the subject.
+    pub(super) digest: SubjectDigest,
     pub(super) name: String,
     pub(super) shape: Arc<AtomicU64>,
 }
@@ -38,20 +41,39 @@ impl Nexus {
         Ok(pid)
     }
 
-    /// Publish (or refresh) a pid's entry in the lock-free hot index.
-    /// Called with the `ipds` write lock held; the snapshot's writer
-    /// mutex is leaf-scoped, so the nesting is one-way.
+    /// Publish a just-spawned pid's entry in the lock-free hot index.
+    /// Called with the `ipds` write lock held, so pids arrive in
+    /// order; the snapshot's writer mutex is leaf-scoped, so the
+    /// nesting is one-way.
     fn publish_ipd_hot(&self, ipds: &IpdTable, pid: u64) {
         if let Ok(ipd) = ipds.get(pid) {
-            let hot = IpdHot {
-                principal: ipd.principal(),
+            let principal = ipd.principal();
+            let hot = Arc::new(IpdHot {
+                digest: self.dcache.digest(&principal),
+                principal,
                 name: ipd.name.clone(),
                 shape: ipd.labelstore.shape_handle(),
-            };
-            self.ipd_hot.update(|m| {
-                m.insert(pid, hot.clone());
+            });
+            self.ipd_hot.update(|index| {
+                // A gap would attribute requests to the wrong subject.
+                assert_eq!(index.len() as u64 + 1, pid, "pids are dense");
+                index.push(hot);
             });
         }
+    }
+
+    /// Read `pid`'s entry in the hot index: no lock, no allocation.
+    pub(super) fn with_hot<R>(
+        &self,
+        pid: u64,
+        f: impl FnOnce(&IpdHot) -> R,
+    ) -> Result<R, KernelError> {
+        self.ipd_hot
+            .read(|index, _| {
+                let i = usize::try_from(pid.checked_sub(1)?).ok()?;
+                index.get(i).map(|hot| f(hot))
+            })
+            .ok_or(KernelError::NoSuchIpd(pid))
     }
 
     /// The principal a pid's statements are attributed to.
