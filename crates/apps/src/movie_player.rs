@@ -19,7 +19,6 @@ use std::sync::Arc;
 pub struct MovieService {
     /// Deadline (yyyymmdd) after which streaming stops.
     pub deadline: i64,
-    clock: Arc<Mutex<i64>>,
     authorities: AuthorityRegistry,
     guard: Guard,
 }
@@ -37,7 +36,6 @@ impl MovieService {
     /// Build the service with a shared simulated clock.
     pub fn new(deadline: i64, clock: Arc<Mutex<i64>>) -> Self {
         let authorities = AuthorityRegistry::new();
-        let c = clock.clone();
         authorities.register(
             Principal::name("NTP"),
             Arc::new(FnAuthority(move |s: &Formula| {
@@ -45,7 +43,7 @@ impl MovieService {
                     if let (nexus_nal::Term::Sym(n), nexus_nal::Term::Int(bound)) = (&a.canon(), b)
                     {
                         if n == "TimeNow" {
-                            return op.eval(&*c.lock(), bound);
+                            return op.eval(&*clock.lock(), bound);
                         }
                     }
                 }
@@ -55,7 +53,6 @@ impl MovieService {
         );
         MovieService {
             deadline,
-            clock,
             authorities,
             guard: Guard::new(),
         }
@@ -144,11 +141,6 @@ impl MovieService {
         } else {
             StreamDecision::Denied(format!("{:?}", d.reason))
         }
-    }
-
-    /// Advance the simulated clock.
-    pub fn set_time(&self, t: i64) {
-        *self.clock.lock() = t;
     }
 }
 

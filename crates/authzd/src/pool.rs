@@ -23,7 +23,7 @@ use crate::{AuthzRequest, BatchKey};
 use nexus_obs::{Collect, MetricsRegistry, Stage, StageTimers};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -207,34 +207,28 @@ struct Pending {
     enqueued_at: Option<Instant>,
 }
 
-/// Which worker class serves a request.
+/// Which worker class serves a request; the index of its backlog in
+/// [`Queue::lanes`] and of its condvar in [`Shared::work`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Lane {
-    Embedded,
-    External,
+    Embedded = 0,
+    External = 1,
+}
+
+impl Lane {
+    fn name(self) -> &'static str {
+        match self {
+            Lane::Embedded => "embedded",
+            Lane::External => "external",
+        }
+    }
 }
 
 #[derive(Default)]
 struct Queue {
-    embedded: VecDeque<Pending>,
-    external: VecDeque<Pending>,
+    /// Per-lane backlog; its length is the lane's depth gauge.
+    lanes: [VecDeque<Pending>; 2],
     shutdown: bool,
-}
-
-impl Queue {
-    fn lane(&self, lane: Lane) -> &VecDeque<Pending> {
-        match lane {
-            Lane::Embedded => &self.embedded,
-            Lane::External => &self.external,
-        }
-    }
-
-    fn lane_mut(&mut self, lane: Lane) -> &mut VecDeque<Pending> {
-        match lane {
-            Lane::Embedded => &mut self.embedded,
-            Lane::External => &mut self.external,
-        }
-    }
 }
 
 /// How many queued entries one `pop_batch` may examine while holding
@@ -248,10 +242,8 @@ const SCAN_WINDOW: usize = 128;
 
 struct Shared {
     queue: Mutex<Queue>,
-    /// Wakes embedded-lane workers on submit/shutdown.
-    work: Condvar,
-    /// Wakes external-lane workers on submit/shutdown.
-    ext_work: Condvar,
+    /// Wakes each lane's workers on submit/shutdown.
+    work: [Condvar; 2],
     /// Wakes `quiesce` waiters on completion.
     drained: Condvar,
     cfg_max_batch: usize,
@@ -267,25 +259,13 @@ struct Shared {
     external_batches: AtomicU64,
     callback_panics: AtomicU64,
     executor_panics: AtomicU64,
-    /// Per-lane backlog gauges (incremented on push, decremented on
-    /// pop/drain, always under the queue lock).
-    embedded_depth: AtomicU64,
-    external_depth: AtomicU64,
     stage_timers: Option<Arc<StageTimers>>,
-    stopping: AtomicBool,
 }
 
 impl Shared {
     /// The stage timers, iff configured *and* currently enabled.
     fn timers(&self) -> Option<&StageTimers> {
         self.stage_timers.as_deref().filter(|t| t.enabled())
-    }
-
-    fn depth(&self, lane: Lane) -> &AtomicU64 {
-        match lane {
-            Lane::Embedded => &self.embedded_depth,
-            Lane::External => &self.external_depth,
-        }
     }
 
     /// Mark `n` requests finished and wake any quiesce waiters.
@@ -340,8 +320,7 @@ impl GuardPool {
     pub fn new(cfg: GuardPoolConfig, executor: Arc<dyn BatchExecutor>) -> GuardPool {
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue::default()),
-            work: Condvar::new(),
-            ext_work: Condvar::new(),
+            work: Default::default(),
             drained: Condvar::new(),
             cfg_max_batch: cfg.max_batch.max(1),
             max_queued: cfg.max_queued.max(1),
@@ -356,10 +335,7 @@ impl GuardPool {
             external_batches: AtomicU64::new(0),
             callback_panics: AtomicU64::new(0),
             executor_panics: AtomicU64::new(0),
-            embedded_depth: AtomicU64::new(0),
-            external_depth: AtomicU64::new(0),
             stage_timers: cfg.stage_timers.clone(),
-            stopping: AtomicBool::new(false),
         });
         let spawn = |lane: Lane, i: usize| {
             let shared = Arc::clone(&shared);
@@ -418,14 +394,11 @@ impl GuardPool {
         if queue.shutdown {
             return None;
         }
-        if queue.lane(lane).len() >= shared.max_queued {
+        if queue.lanes[lane as usize].len() >= shared.max_queued {
             shared.rejected.fetch_add(1, Ordering::SeqCst);
             return Some(AuthzTicket::ready(AuthzOutcome::Fault(format!(
                 "authzd {} queue at high-water mark ({})",
-                match lane {
-                    Lane::Embedded => "embedded",
-                    Lane::External => "external",
-                },
+                lane.name(),
                 shared.max_queued
             ))));
         }
@@ -434,22 +407,18 @@ impl GuardPool {
         shared.submitted.fetch_add(1, Ordering::SeqCst);
         let submitted_at = req.submitted_at;
         let enqueued_at = shared.timers().map(|_| Instant::now());
-        queue.lane_mut(lane).push_back(Pending {
+        queue.lanes[lane as usize].push_back(Pending {
             req,
             ticket: inner,
             priority,
             enqueued_at,
         });
-        shared.depth(lane).fetch_add(1, Ordering::Relaxed);
         drop(queue);
         // Submit span: submitter's stamp → admitted into the queue.
         if let (Some(timers), Some(now), Some(at)) = (shared.timers(), enqueued_at, submitted_at) {
             timers.record_duration(Stage::Submit, now.saturating_duration_since(at));
         }
-        match lane {
-            Lane::Embedded => shared.work.notify_one(),
-            Lane::External => shared.ext_work.notify_one(),
-        }
+        shared.work[lane as usize].notify_one();
         Some(ticket)
     }
 
@@ -472,6 +441,10 @@ impl GuardPool {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> PoolStats {
+        let depth = {
+            let queue = self.shared.queue.lock().expect("authzd queue");
+            queue.lanes.each_ref().map(|l| l.len() as u64)
+        };
         PoolStats {
             submitted: self.shared.submitted.load(Ordering::SeqCst),
             completed: self.shared.completed.load(Ordering::SeqCst),
@@ -482,8 +455,8 @@ impl GuardPool {
             external_batches: self.shared.external_batches.load(Ordering::SeqCst),
             callback_panics: self.shared.callback_panics.load(Ordering::SeqCst),
             executor_panics: self.shared.executor_panics.load(Ordering::SeqCst),
-            embedded_depth: self.shared.embedded_depth.load(Ordering::Relaxed),
-            external_depth: self.shared.external_depth.load(Ordering::Relaxed),
+            embedded_depth: depth[Lane::Embedded as usize],
+            external_depth: depth[Lane::External as usize],
         }
     }
 
@@ -494,19 +467,11 @@ impl GuardPool {
         let leftovers: Vec<Pending> = {
             let mut queue = self.shared.queue.lock().expect("authzd queue");
             queue.shutdown = true;
-            self.shared.stopping.store(true, Ordering::SeqCst);
-            self.shared
-                .embedded_depth
-                .fetch_sub(queue.embedded.len() as u64, Ordering::Relaxed);
-            self.shared
-                .external_depth
-                .fetch_sub(queue.external.len() as u64, Ordering::Relaxed);
-            let mut drained: Vec<Pending> = queue.embedded.drain(..).collect();
-            drained.extend(queue.external.drain(..));
-            drained
+            queue.lanes.iter_mut().flat_map(|l| l.drain(..)).collect()
         };
-        self.shared.work.notify_all();
-        self.shared.ext_work.notify_all();
+        for cv in &self.shared.work {
+            cv.notify_all();
+        }
         let n = leftovers.len() as u64;
         let mut panics = 0u64;
         for p in leftovers {
@@ -548,19 +513,17 @@ impl Drop for GuardPool {
 fn pop_batch(shared: &Shared, lane: Lane) -> Option<(BatchKey, Vec<Pending>)> {
     let mut queue = shared.queue.lock().expect("authzd queue");
     loop {
-        if shared.stopping.load(Ordering::SeqCst) || queue.shutdown {
+        if queue.shutdown {
             return None;
         }
-        if queue.lane(lane).is_empty() {
-            let cv = match lane {
-                Lane::Embedded => &shared.work,
-                Lane::External => &shared.ext_work,
-            };
-            queue = cv.wait(queue).expect("authzd worker wait");
+        if queue.lanes[lane as usize].is_empty() {
+            queue = shared.work[lane as usize]
+                .wait(queue)
+                .expect("authzd worker wait");
             continue;
         }
         let assembly_start = shared.timers().map(|_| Instant::now());
-        let entries = queue.lane_mut(lane);
+        let entries = &mut queue.lanes[lane as usize];
         let window = entries.len().min(SCAN_WINDOW);
         let lead_idx = if shared.prioritizer.is_none() {
             0
@@ -599,9 +562,6 @@ fn pop_batch(shared: &Shared, lane: Lane) -> Option<(BatchKey, Vec<Pending>)> {
                 i += 1;
             }
         }
-        shared
-            .depth(lane)
-            .fetch_sub(batch.len() as u64, Ordering::Relaxed);
         drop(queue);
         // Queue-wait per member (enqueue → this pop), plus one
         // batch-assembly span for the whole scan.
@@ -674,6 +634,7 @@ fn worker_loop(shared: Arc<Shared>, executor: Arc<dyn BatchExecutor>, lane: Lane
 mod tests {
     use super::*;
     use nexus_core::{OpName, ResourceId};
+    use std::sync::atomic::AtomicBool;
     use std::sync::atomic::AtomicUsize;
     use std::time::{Duration, Instant};
 

@@ -1,19 +1,15 @@
-//! Regenerate every table and figure of the paper's evaluation (§5)
-//! — plus the beyond-the-paper Figure 7a analysis-vs-reuse bench, the
-//! Figure 9 scalability curves, the Figure 11 distributed-Nexus bench
-//! and the Figure 12 telemetry-overhead A/B — and print them in the
-//! paper's layout.
+//! Regenerate the tables and figures of the paper's evaluation (§5:
+//! Table 1, Figures 4–8) — plus the beyond-the-paper Figure 7a
+//! analysis-vs-reuse bench — and print them in the paper's layout.
 //!
 //! Usage:
 //! `cargo run --release -p nexus-bench --bin reproduce \
-//!    [quick|fig9|<figure>] [--json <path>]`
+//!    [quick|<figure>] [--json <path>]`
 //!
 //! No argument runs every figure at the full sizes, `quick` at the
 //! quick sizes (`nexus_bench::report::ReportConfig` holds both). A
-//! figure key from `nexus_bench::report::FIGURES` (hyphens accepted:
-//! `fig7a`, `fig9-hits`, `fig9-bp`, `fig9-prover`, `fig11`, `fig12`, …)
-//! runs just that figure at the full sizes; `fig9` runs all four
-//! Figure 9 modes.
+//! figure key from `nexus_bench::report::FIGURES` (`table1`, `fig4`,
+//! …, `fig7a`, `fig8`) runs just that figure at the full sizes.
 //!
 //! Each figure runs once: its table is printed from the measured
 //! points, and `--json <path>` additionally writes those same points
@@ -22,7 +18,7 @@
 use nexus_bench::report::{self, ReportConfig, FIGURES};
 
 fn usage() -> ! {
-    eprintln!("usage: reproduce [quick|fig9|<figure>] [--json <path>]");
+    eprintln!("usage: reproduce [quick|<figure>] [--json <path>]");
     eprintln!("figures: {}", FIGURES.join(" "));
     std::process::exit(2);
 }
@@ -41,19 +37,13 @@ fn main() {
     let (figures, cfg): (Vec<&str>, ReportConfig) = match args.as_slice() {
         [] => (FIGURES.to_vec(), ReportConfig::full()),
         [a] if a == "quick" => (FIGURES.to_vec(), ReportConfig::quick()),
-        [a] => {
-            let key = a.replace('-', "_");
-            let figures: Vec<&str> = FIGURES
-                .iter()
-                .copied()
-                .filter(|f| *f == key || (key == "fig9" && f.starts_with("fig9")))
-                .collect();
-            if figures.is_empty() {
+        [a] => match FIGURES.iter().find(|f| *f == a) {
+            Some(figure) => (vec![*figure], ReportConfig::full()),
+            None => {
                 eprintln!("unknown argument: {a:?}");
                 usage();
             }
-            (figures, ReportConfig::full())
-        }
+        },
         other => {
             eprintln!("unknown argument(s): {other:?}");
             usage();

@@ -5,6 +5,7 @@ use crate::{boot_with, time_ns};
 use nexus_core::{AuthorityKind, FnAuthority, ResourceId};
 use nexus_kernel::{Nexus, NexusConfig, Syscall};
 use nexus_nal::{parse, Formula, Principal, Proof};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Cases on the x-axis of Figure 4.
@@ -19,7 +20,7 @@ pub const CASES: [&str; 8] = [
     "auth",
 ];
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Point {
     pub case: &'static str,
     pub cached_ns: f64,
@@ -167,9 +168,8 @@ mod tests {
     /// each case one repetition, not one case its only sample.
     fn median_points(iters: u64, reps: usize) -> Vec<Point> {
         let runs: Vec<Vec<Point>> = (0..reps).map(|_| run(iters)).collect();
-        let median_of = |i: usize, f: fn(&Point) -> f64| {
-            crate::fig12::median(runs.iter().map(|r| f(&r[i])).collect())
-        };
+        let median_of =
+            |i: usize, f: fn(&Point) -> f64| crate::median(runs.iter().map(|r| f(&r[i])).collect());
         CASES
             .iter()
             .enumerate()

@@ -14,6 +14,7 @@
 use nexus_core::{AccessRequest, AuthorityRegistry, Guard, OpName, ResourceId};
 use nexus_nal::check::{check, Assumptions};
 use nexus_nal::{parse, Formula, Principal, Proof};
+use serde::Serialize;
 
 use crate::time_ns;
 
@@ -74,7 +75,7 @@ pub fn build(family: Family, n: usize) -> (Proof, Vec<Formula>, Formula) {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Point {
     pub family: &'static str,
     pub rules: usize,

@@ -6,9 +6,10 @@ use crate::{boot_with, time_ns};
 use nexus_core::{AuthorityKind, FnAuthority, ResourceId};
 use nexus_kernel::NexusConfig;
 use nexus_nal::{parse, Principal, Proof};
+use serde::Serialize;
 use std::sync::Arc;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Point {
     pub op: &'static str,
     pub ns: f64,

@@ -3,6 +3,7 @@
 
 use crate::boot_with;
 use nexus_kernel::{EchoPath, EchoWorld, MonitorLevel, NexusConfig};
+use serde::Serialize;
 
 /// Configurations on the x-axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +48,7 @@ impl Config {
     ];
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Point {
     pub config: &'static str,
     pub pkt_size: usize,

@@ -25,13 +25,14 @@
 use crate::{boot_with, time_ns};
 use nexus_apps::certipics::{sample_encoder, CertiPicsService, Image};
 use nexus_kernel::{Nexus, NexusConfig};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Stage functions in the benchmark encoder binary (analysis size).
 pub const ENCODER_WIDTH: usize = 32;
 
 /// One mode's measurement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig7aPoint {
     /// `"reanalyze-per-auth"`, `"first-contact"`, or
     /// `"credential-reuse"`.

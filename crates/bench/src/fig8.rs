@@ -8,6 +8,7 @@ use nexus_core::{AuthorityKind, FnAuthority, ResourceId};
 use nexus_kernel::{Interceptor, IpcCall, MonitorLevel, Nexus, NexusConfig, Verdict};
 use nexus_nal::{parse, Principal, Proof};
 use nexus_storage::SsrConfig;
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Access-control column (left pair of plots).
@@ -252,7 +253,7 @@ impl WebBench {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Point {
     pub kind: &'static str,
     pub column: &'static str,

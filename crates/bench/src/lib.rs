@@ -1,20 +1,19 @@
-//! Benchmark workloads regenerating every table and figure of the
-//! paper's evaluation (§5), driven by the `reproduce` binary, which
+//! Benchmark workloads regenerating the tables and figures of the
+//! paper's evaluation (§5: Table 1, Figures 4–8) plus the Figure 7a
+//! analysis-vs-reuse bench, driven by the `reproduce` binary, which
 //! prints paper-style tables (and the same points as JSON) through
-//! [`report`].
+//! [`report`]. Hit path, prover, cluster and telemetry costs are
+//! measured by the out-of-workspace `benchmark/` ledger instead.
 
 #![forbid(unsafe_code)]
 #![allow(missing_docs)]
 
-pub mod fig11;
-pub mod fig12;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig7a;
 pub mod fig8;
-pub mod fig9;
 pub mod report;
 pub mod table1;
 
@@ -43,10 +42,16 @@ pub fn time_ns<F: FnMut()>(iters: u64, mut f: F) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// Median of `xs` (upper median for an even count).
+#[cfg(test)]
+pub(crate) fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs[xs.len() / 2]
+}
+
 /// Serializes the timing-sensitive unit tests in this crate: relative
-/// performance assertions (and the fig9 multi-thread runs that would
-/// perturb them) take this lock so the default parallel test harness
-/// cannot run them on top of each other.
+/// performance assertions take this lock so the default parallel test
+/// harness cannot run them on top of each other.
 #[cfg(test)]
 pub(crate) fn timing_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -4,9 +4,10 @@
 
 use crate::{boot_with, time_ns};
 use nexus_kernel::{Nexus, NexusConfig, Syscall};
+use serde::Serialize;
 
 /// One measured row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Row {
     pub call: &'static str,
     pub bare_ns: f64,

@@ -255,10 +255,10 @@ struct CachedCheck {
 /// The guard's memoization state, updated as one unit under a lock.
 #[derive(Default)]
 struct GuardCache {
-    entries: HashMap<(u64, u64), CachedCheck>,
+    entries: HashMap<u64, CachedCheck>,
     /// Insertion order per owning root principal, for preferential
     /// eviction.
-    order: HashMap<Principal, VecDeque<(u64, u64)>>,
+    order: HashMap<Principal, VecDeque<u64>>,
 }
 
 /// The guard. Internally synchronized: `check` takes `&self`, so one
@@ -440,7 +440,7 @@ impl Guard {
         proof: &Proof,
         subject: &Principal,
     ) -> (Result<(Formula, Formula), CheckError>, Vec<Formula>) {
-        let key = (Self::digest_proof(proof), 0u64);
+        let key = Self::digest_proof(proof);
         if let Some(hit) = self.cache.lock().entries.get(&key) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return (hit.result.clone(), hit.leaves.clone());
@@ -476,7 +476,7 @@ impl Guard {
         u64::from_le_bytes(out[..8].try_into().expect("sha256 is 32 bytes"))
     }
 
-    fn insert_cached(&self, key: (u64, u64), value: CachedCheck) {
+    fn insert_cached(&self, key: u64, value: CachedCheck) {
         let owner = value.owner.clone();
         let mut cache = self.cache.lock();
         // Concurrent misses on the same fresh proof race to insert

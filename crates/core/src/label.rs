@@ -151,17 +151,6 @@ impl LabelStore {
         Ok(label)
     }
 
-    /// Move a label to another store (e.g. handing a credential to a
-    /// peer process).
-    pub fn transfer(
-        &mut self,
-        h: LabelHandle,
-        to: &mut LabelStore,
-    ) -> Result<LabelHandle, CoreError> {
-        let label = self.delete(h)?;
-        Ok(to.insert(label))
-    }
-
     /// Externalize a label into a signed certificate chain
     /// ("TPM says kernel says labelstore says process says S", §2.4).
     /// This is the expensive path: asymmetric signing.
@@ -293,16 +282,6 @@ mod tests {
         store.delete(h).unwrap();
         assert!(matches!(store.get(h), Err(CoreError::NoSuchLabel(_))));
         assert!(matches!(store.delete(h), Err(CoreError::NoSuchLabel(_))));
-    }
-
-    #[test]
-    fn transfer_moves_between_stores() {
-        let mut a = LabelStore::new();
-        let mut b = LabelStore::new();
-        let h = a.say(&p("A"), "x").unwrap();
-        let h2 = a.transfer(h, &mut b).unwrap();
-        assert!(a.is_empty());
-        assert_eq!(b.get(h2).unwrap().formula(), parse("A says x").unwrap());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::credential::Certificate;
 use crate::label::Label;
-use ed25519_dalek::{Signer, SigningKey, VerifyingKey};
+use ed25519_dalek::{Signer, SigningKey};
 use nexus_tpm::{AikCert, KeyAttestation, PcrSelection, Tpm};
 
 /// Holds NK/NBK and the TPM attestation artifacts needed to
@@ -41,11 +41,6 @@ impl KernelSigner {
             nk_attestation,
             aik_cert,
         })
-    }
-
-    /// NK public key.
-    pub fn nk_public(&self) -> VerifyingKey {
-        self.nk.verifying_key()
     }
 
     /// Hex digest of the NBK public key — the boot-instantiation id

@@ -1,7 +1,7 @@
 //! An in-process cluster: `n` booted kernels, their BRB endpoints,
 //! and the seeded network simulator, driven to quiescence step by
-//! step. This is the harness every distributed test and the fig11
-//! benchmark build on — all nondeterminism lives in the simulator's
+//! step. This is the harness every distributed test and the ledger's
+//! `cluster_revoke` workload build on — all nondeterminism lives in the simulator's
 //! seed, so any failing schedule replays from one `u64`.
 
 use crate::node::DistNode;

@@ -20,8 +20,9 @@
 //! invariant across the cluster: after delivery at node N, no
 //! authorization on N can return an allow backed by the revoked
 //! credential. (Between the origin's broadcast and delivery at N,
-//! N still answers from its own replica — that window is what
-//! `reproduce fig11` measures as cross-node revocation latency.)
+//! N still answers from its own replica — that window is what the
+//! ledger's `cluster_revoke/write_p50_us` measures as cross-node
+//! revocation latency.)
 //!
 //! All transport nondeterminism lives in [`sim`]: a seeded in-process
 //! network with drop/duplicate/delay/partition schedules and hooks

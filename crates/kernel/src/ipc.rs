@@ -121,13 +121,6 @@ impl IpcTable {
     pub fn send_count(&self) -> u64 {
         self.sends
     }
-
-    /// All port ids, ascending.
-    pub fn port_ids(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.ports.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 #[cfg(test)]

@@ -121,11 +121,6 @@ impl Nexus {
         self.authorities.register(principal, authority, kind);
     }
 
-    /// Goal store epoch (diagnostics).
-    pub fn goal_epoch(&self) -> u64 {
-        self.goals.epoch()
-    }
-
     /// Resize the kernel decision cache at runtime (§2.8). The fence
     /// afterwards drains evaluations that may still be filling the
     /// superseded table, so no decision computed before the resize

@@ -113,12 +113,6 @@ impl Nexus {
         Ok(())
     }
 
-    /// Direct whole-file read (used by services; still authorized).
-    pub fn fs_read_all(&self, pid: u64, path: &str) -> Result<Vec<u8>, KernelError> {
-        self.require_fs_access(&self.config(), pid, "read", path)?;
-        self.fs.lock().read_all(path)
-    }
-
     /// Direct whole-file write (authorized).
     pub fn fs_write_all(&self, pid: u64, path: &str, data: &[u8]) -> Result<(), KernelError> {
         self.require_fs_access(&self.config(), pid, "write", path)?;

@@ -2,7 +2,8 @@
 //! `authorize_async` on a decision-cache hit build no `OpName`, no
 //! `Principal` and no `CacheKey` — everything the front half reads is
 //! `Copy` or borrowed from the caller. Counted, not timed: a counting
-//! global allocator tallies the calling thread's allocations.
+//! global allocator tallies the calling thread's allocations. The same
+//! counted hits also never retry or fall back off the seqlock probe.
 
 use nexus_core::ResourceId;
 use nexus_kernel::{AuthzOutcome, Nexus, NexusConfig, ObsConfig};
@@ -85,7 +86,8 @@ fn cached_allow(obs: ObsConfig) -> (Nexus, u64, ResourceId) {
 #[test]
 fn cached_allow_allocates_nothing_with_telemetry_off() {
     let (nexus, reader, object) = cached_allow(ObsConfig::disabled());
-    let hits = nexus.decision_cache_stats().hits;
+    let before = nexus.decision_cache_stats();
+    let hits = before.hits;
     let allocs = allocations_during(|| {
         for _ in 0..CALLS {
             assert!(matches!(nexus.authorize(reader, "read", &object), Ok(true)));
@@ -93,6 +95,14 @@ fn cached_allow_allocates_nothing_with_telemetry_off() {
     });
     assert_eq!(nexus.decision_cache_stats().hits, hits + CALLS);
     assert_eq!(allocs, 0, "{allocs} allocations over {CALLS} cached allows");
+    // No writer ran, so the seqlock probe never retried and never fell
+    // back to the locked probe.
+    let after = nexus.decision_cache_stats();
+    assert_eq!(
+        (after.read_retries, after.read_fallbacks),
+        (before.read_retries, before.read_fallbacks),
+        "hit-only run with no writer retried or fell back"
+    );
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Kernel-level tests: boot, the authorization path of Figure 1,
 //! system calls, and introspection.
 
-use nexus_core::{AuthorityKind, FnAuthority, ResourceId};
-use nexus_kernel::{BootImages, Nexus, NexusConfig, SysRet, Syscall};
-use nexus_nal::{parse, Formula, Principal};
+use nexus_core::{AuthorityKind, DecisionCacheConfig, FnAuthority, ResourceId};
+use nexus_kernel::{BootImages, GuardPoolConfig, Nexus, NexusConfig, SysRet, Syscall};
+use nexus_nal::{parse, Formula, Principal, Proof};
 use nexus_storage::RamDisk;
 use nexus_tpm::Tpm;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn boot() -> Nexus {
     Nexus::boot(
@@ -404,4 +406,93 @@ fn transferred_away_label_invalidates_cached_allow() {
     );
     // The label's statement names `a`, so `b` gains nothing from it.
     assert!(!nexus.authorize(b, "read", &object).unwrap());
+}
+
+#[test]
+fn resized_decision_cache_refills_and_stays_fenced() {
+    // §2.8: the cache can be resized at runtime. Contents go, the
+    // process's digest (published at spawn) still finds the refilled
+    // slot, and a label removal clears the table now published.
+    let nexus = boot();
+    let a = nexus.spawn("a", b"img-a");
+    let b = nexus.spawn("b", b"img-b");
+    let object = ResourceId::file("/owned");
+    let h = nexus.grant_ownership(a, &object).unwrap();
+    assert!(nexus.authorize(a, "read", &object).unwrap());
+    let warm = nexus.decision_cache_stats();
+    assert!(nexus.authorize(a, "read", &object).unwrap());
+    assert_eq!(nexus.decision_cache_stats().hits, warm.hits + 1);
+
+    nexus.resize_decision_cache(DecisionCacheConfig {
+        total_slots: 64,
+        subregion_slots: 4,
+    });
+    let resized = nexus.decision_cache_stats();
+    assert!(nexus.authorize(a, "read", &object).unwrap());
+    let refilled = nexus.decision_cache_stats();
+    assert_eq!(
+        (refilled.hits, refilled.misses),
+        (resized.hits, resized.misses + 1),
+        "a resize discards every cached verdict"
+    );
+    assert!(nexus.authorize(a, "read", &object).unwrap());
+    assert_eq!(nexus.decision_cache_stats().hits, refilled.hits + 1);
+
+    nexus.transfer_label(a, h, b).unwrap();
+    assert!(
+        !nexus.authorize(a, "read", &object).unwrap(),
+        "allow cached in the resized table outlived its credential"
+    );
+}
+
+#[test]
+fn resize_decision_cache_waits_for_in_flight_tickets() {
+    let nexus = Arc::new(boot());
+    let owner = nexus.spawn("owner", b"img");
+    let object = ResourceId::new("svc", "gated");
+    nexus.grant_ownership(owner, &object).unwrap();
+    let goal = parse("Gate says open").unwrap();
+    nexus
+        .sys_setgoal(owner, object.clone(), "poke", goal.clone())
+        .unwrap();
+    // An authority that holds its batch in flight until released.
+    let entered = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let (seen, gate) = (Arc::clone(&entered), Arc::clone(&release));
+    nexus.register_authority(
+        Principal::name("Gate"),
+        Arc::new(FnAuthority(move |_: &Formula| {
+            seen.store(true, Ordering::SeqCst);
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            true
+        })),
+        AuthorityKind::External,
+    );
+    let pid = nexus.spawn("caller", b"img");
+    nexus
+        .sys_set_proof(pid, "poke", &object, Proof::assume(goal))
+        .unwrap();
+    nexus.start_authz_pipeline(GuardPoolConfig::default());
+    let ticket = nexus.authorize_async(pid, "poke", &object).unwrap();
+    while !entered.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    std::thread::scope(|s| {
+        let resizer = s.spawn(|| {
+            nexus.resize_decision_cache(DecisionCacheConfig::default());
+            assert!(
+                ticket.try_outcome().is_some(),
+                "resize returned with a ticket still in flight"
+            );
+        });
+        // The sleep only sharpens a failure: an unfenced resize would
+        // return long before the gate opens; a fenced one cannot.
+        std::thread::sleep(Duration::from_millis(20));
+        release.store(true, Ordering::SeqCst);
+        resizer.join().expect("resizer");
+    });
+    assert!(ticket.wait().is_allow());
+    nexus.stop_authz_pipeline();
 }

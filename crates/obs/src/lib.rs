@@ -44,14 +44,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 pub struct ObsConfig {
     /// Master switch. Off, the hot path pays one atomic load and the
     /// stage timers/journal record nothing — the A/B baseline the
-    /// `fig12` overhead bench compares against.
+    /// ledger's `obs.hit_overhead_ratio` compares against.
     pub enabled: bool,
     /// Cache-hit audit sampling: one hit in `2^hit_sample_shift` is
     /// journaled (with its end-to-end span). Misses, denials, and
     /// faults are always journaled — they are µs-scale and rare, and
     /// denials must always carry their refutation. `0` samples every
     /// hit (tests); the default 6 (1 in 64) keeps the ~ns hit path
-    /// within the fig12 overhead bound.
+    /// within the `obs.hit_overhead_ratio` budget.
     pub hit_sample_shift: u32,
     /// Audit journal capacity (events). Applied at boot.
     pub audit_capacity: usize,
@@ -69,7 +69,7 @@ impl Default for ObsConfig {
 
 /// The disabled A/B baseline.
 impl ObsConfig {
-    /// Telemetry fully off (the `fig12` comparison baseline).
+    /// Telemetry fully off (the `obs.hit_overhead_ratio` baseline).
     pub fn disabled() -> Self {
         ObsConfig {
             enabled: false,

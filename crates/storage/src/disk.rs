@@ -37,8 +37,6 @@ pub struct RamDisk {
     /// Writes remaining before simulated power loss (`None` = no
     /// failure scheduled).
     fail_after_writes: Option<u64>,
-    writes: u64,
-    reads: u64,
 }
 
 impl RamDisk {
@@ -79,11 +77,6 @@ impl RamDisk {
     pub fn restore(&mut self, snapshot: HashMap<String, Vec<u8>>) {
         self.files = snapshot;
     }
-
-    /// Write and read counters (for cost accounting in benches).
-    pub fn io_counts(&self) -> (u64, u64) {
-        (self.writes, self.reads)
-    }
 }
 
 impl Disk for RamDisk {
@@ -94,7 +87,6 @@ impl Disk for RamDisk {
             }
             self.fail_after_writes = Some(left - 1);
         }
-        self.writes += 1;
         self.files.insert(name.to_string(), data.to_vec());
         Ok(())
     }

@@ -10,8 +10,8 @@
 //! full revocation fence inside the delivery step), no authorization
 //! on N may return an allow backed by the revoked credential.
 //! Between broadcast and delivery a node legitimately still allows —
-//! that window is cross-node revocation latency, measured by
-//! `reproduce fig11`, not a violation.
+//! that window is cross-node revocation latency, measured by the
+//! ledger's `cluster_revoke/write_p50_us`, not a violation.
 //!
 //! Every schedule is seeded and every assertion prints the seed; a
 //! failure replays exactly.
