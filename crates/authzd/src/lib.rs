@@ -38,6 +38,12 @@
 //!   embedded-authority traffic keeps flowing. (This crate stays
 //!   kernel-agnostic and only sees the boolean classification.)
 //!
+//! And one safety property: [`GuardPool::quiesce`], the fence every
+//! invalidating syscall ends with, waits for *the requests admitted
+//! before the call* (two admission generations; the fence drains the
+//! old one) — never for a count of completions, which a later request
+//! finishing first would satisfy. [`PoolStats`] is only statistics.
+//!
 //! The crate is deliberately kernel-agnostic: evaluation is behind the
 //! [`BatchExecutor`] trait, so the pool can be unit-tested with a toy
 //! executor and the kernel plugs in the real guard path. Everything is

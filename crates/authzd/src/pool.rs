@@ -17,13 +17,16 @@
 //! docs for the two liveness properties ([`GuardPoolConfig::max_queued`],
 //! and the external lane sized by
 //! [`GuardPoolConfig::external_workers`]).
+//!
+//! What the pool *counts* and what it *synchronises on* are separate:
+//! [`PoolStats`] is a table of relaxed counter cells; the invalidation
+//! fence ([`GuardPool::quiesce`]) waits on tallies kept in the queue.
 
 use crate::ticket::{AuthzOutcome, AuthzTicket, TicketInner};
 use crate::{AuthzRequest, BatchKey};
-use nexus_obs::{Collect, MetricsRegistry, Stage, StageTimers};
+use nexus_obs::{Stage, StageTimers};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -102,97 +105,44 @@ impl std::fmt::Debug for GuardPoolConfig {
     }
 }
 
-/// Pool statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Requests submitted (admitted into a queue).
-    pub submitted: u64,
-    /// Requests completed (including faults of admitted requests).
-    pub completed: u64,
-    /// Batches executed.
-    pub batches: u64,
-    /// Requests that rode along in a batch after the first (i.e. the
-    /// per-batch overhead they did *not* pay).
-    pub coalesced: u64,
-    /// Largest batch observed.
-    pub max_batch_seen: u64,
-    /// Submissions refused at the high-water mark (resolved to
-    /// faults, never queued; not counted in `submitted`).
-    pub rejected: u64,
-    /// Batches executed on the external-authority lane.
-    pub external_batches: u64,
-    /// Ticket callbacks that panicked on a worker thread (caught;
-    /// the worker survived).
-    pub callback_panics: u64,
-    /// Batches whose executor panicked (caught; the batch faulted and
-    /// the worker survived — an unwinding worker would strand every
-    /// ticket queued behind it and wedge the quiesce fence).
-    pub executor_panics: u64,
-    /// Requests currently queued on the embedded lane (a gauge, not a
-    /// counter: admitted minus popped at snapshot time).
-    pub embedded_depth: u64,
-    /// Requests currently queued on the external lane (gauge).
-    pub external_depth: u64,
-}
-
-impl Collect for PoolStats {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        let gauge = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        r.counter(
-            "nexus_authz_submitted_total",
-            "pipeline submissions",
-            self.submitted,
-        )
-        .counter(
-            "nexus_authz_completed_total",
-            "pipeline completions",
-            self.completed,
-        )
-        .counter(
-            "nexus_authz_batches_total",
-            "pipeline batches",
-            self.batches,
-        )
-        .counter(
-            "nexus_authz_coalesced_total",
-            "requests coalesced into an existing batch",
-            self.coalesced,
-        )
-        .counter(
-            "nexus_authz_rejected_total",
-            "submissions shed at the high-water mark",
-            self.rejected,
-        )
-        .counter(
-            "nexus_authz_external_batches_total",
-            "batches run on the external lane",
-            self.external_batches,
-        )
-        .counter(
-            "nexus_authz_callback_panics_total",
-            "ticket callbacks that panicked",
-            self.callback_panics,
-        )
-        .counter(
-            "nexus_authz_executor_panics_total",
-            "batches whose executor panicked",
-            self.executor_panics,
-        )
-        .gauge(
-            "nexus_authz_max_batch_seen",
-            "largest batch observed",
-            gauge(self.max_batch_seen),
-        )
-        .gauge(
-            "nexus_authz_embedded_depth",
-            "embedded-lane backlog (queued requests)",
-            gauge(self.embedded_depth),
-        )
-        .gauge(
-            "nexus_authz_external_depth",
-            "external-lane backlog (queued requests)",
-            gauge(self.external_depth),
-        );
+nexus_obs::counters! {
+    /// Pool statistics.
+    pub struct PoolStats, live PoolCounters {
+        /// Requests submitted (admitted into a queue).
+        submitted: plain counter "nexus_authz_submitted_total" "pipeline submissions",
+        /// Requests completed (including faults of admitted requests).
+        completed: plain counter "nexus_authz_completed_total" "pipeline completions",
+        /// Batches executed.
+        batches: plain counter "nexus_authz_batches_total" "pipeline batches",
+        /// Requests that rode along in a batch after the first (i.e. the
+        /// per-batch overhead they did *not* pay).
+        coalesced: plain counter
+            "nexus_authz_coalesced_total" "requests coalesced into an existing batch",
+        /// Submissions refused at the high-water mark (resolved to
+        /// faults, never queued; not counted in `submitted`).
+        rejected: plain counter
+            "nexus_authz_rejected_total" "submissions shed at the high-water mark",
+        /// Batches executed on the external-authority lane.
+        external_batches: plain counter
+            "nexus_authz_external_batches_total" "batches run on the external lane",
+        /// Ticket callbacks that panicked on a worker thread (caught;
+        /// the worker survived).
+        callback_panics: plain counter
+            "nexus_authz_callback_panics_total" "ticket callbacks that panicked",
+        /// Batches whose executor panicked (caught; the batch faulted and
+        /// the worker survived — an unwinding worker would strand every
+        /// ticket queued behind it and wedge the quiesce fence).
+        executor_panics: plain counter
+            "nexus_authz_executor_panics_total" "batches whose executor panicked",
+        /// Largest batch observed.
+        max_batch_seen: plain gauge "nexus_authz_max_batch_seen" "largest batch observed",
+        /// Requests currently queued on the embedded lane (derived at
+        /// read time from the queue itself).
+        embedded_depth: plain gauge
+            "nexus_authz_embedded_depth" "embedded-lane backlog (queued requests)",
+        /// Requests currently queued on the external lane (likewise).
+        external_depth: plain gauge
+            "nexus_authz_external_depth" "external-lane backlog (queued requests)",
     }
 }
 
@@ -205,6 +155,9 @@ struct Pending {
     /// When this entry landed in its queue. `Some` only while stage
     /// timers are configured and enabled — the queue-wait span.
     enqueued_at: Option<Instant>,
+    /// The admission generation this entry was counted into
+    /// ([`Queue::outstanding`]).
+    generation: usize,
 }
 
 /// Which worker class serves a request; the index of its backlog in
@@ -229,6 +182,12 @@ struct Queue {
     /// Per-lane backlog; its length is the lane's depth gauge.
     lanes: [VecDeque<Pending>; 2],
     shutdown: bool,
+    /// The generation (0 or 1) new admissions are counted into;
+    /// [`GuardPool::quiesce`] flips it.
+    generation: usize,
+    /// Admitted and not yet completed, per generation. This — not the
+    /// `submitted`/`completed` statistics — is what the fence waits on.
+    outstanding: [u64; 2],
 }
 
 /// How many queued entries one `pop_batch` may examine while holding
@@ -244,36 +203,32 @@ struct Shared {
     queue: Mutex<Queue>,
     /// Wakes each lane's workers on submit/shutdown.
     work: [Condvar; 2],
-    /// Wakes `quiesce` waiters on completion.
+    /// Wakes the `quiesce` waiter when a generation drains.
     drained: Condvar,
-    cfg_max_batch: usize,
-    max_queued: usize,
-    external_workers: usize,
-    prioritizer: Option<Prioritizer>,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    batches: AtomicU64,
-    coalesced: AtomicU64,
-    max_batch_seen: AtomicU64,
-    rejected: AtomicU64,
-    external_batches: AtomicU64,
-    callback_panics: AtomicU64,
-    executor_panics: AtomicU64,
-    stage_timers: Option<Arc<StageTimers>>,
+    /// One `quiesce` at a time: there are only two generations.
+    fence: Mutex<()>,
+    /// The configuration as given, sizes clamped to at least 1.
+    cfg: GuardPoolConfig,
+    stats: PoolCounters,
 }
 
 impl Shared {
     /// The stage timers, iff configured *and* currently enabled.
     fn timers(&self) -> Option<&StageTimers> {
-        self.stage_timers.as_deref().filter(|t| t.enabled())
+        self.cfg.stage_timers.as_deref().filter(|t| t.enabled())
     }
 
-    /// Mark `n` requests finished and wake any quiesce waiters.
-    fn note_completed(&self, n: u64) {
-        self.completed.fetch_add(n, Ordering::SeqCst);
-        // The waiter re-checks counters under the queue lock; taking
-        // it here orders the notification after the waiter's check.
-        let _guard = self.queue.lock().expect("authzd queue");
+    /// Retire finished requests, `done[g]` of them admitted in
+    /// generation `g`, and wake the fence. `completed` moves first,
+    /// under the lock the waiter wakes up holding, so whoever
+    /// `quiesce` releases already reads the requests it waited for in
+    /// `stats()`.
+    fn note_completed(&self, done: [u64; 2]) {
+        let mut queue = self.queue.lock().expect("authzd queue");
+        self.stats.completed.add(done[0] + done[1]);
+        for (outstanding, n) in queue.outstanding.iter_mut().zip(done) {
+            *outstanding -= n;
+        }
         self.drained.notify_all();
     }
 }
@@ -318,24 +273,19 @@ impl GuardPool {
     /// Spawn `cfg.workers` embedded-lane workers (plus
     /// `cfg.external_workers` external-lane workers) over `executor`.
     pub fn new(cfg: GuardPoolConfig, executor: Arc<dyn BatchExecutor>) -> GuardPool {
+        let cfg = GuardPoolConfig {
+            workers: cfg.workers.max(1),
+            max_batch: cfg.max_batch.max(1),
+            max_queued: cfg.max_queued.max(1),
+            ..cfg
+        };
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue::default()),
             work: Default::default(),
             drained: Condvar::new(),
-            cfg_max_batch: cfg.max_batch.max(1),
-            max_queued: cfg.max_queued.max(1),
-            external_workers: cfg.external_workers,
-            prioritizer: cfg.prioritizer.clone(),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            max_batch_seen: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            external_batches: AtomicU64::new(0),
-            callback_panics: AtomicU64::new(0),
-            executor_panics: AtomicU64::new(0),
-            stage_timers: cfg.stage_timers.clone(),
+            fence: Mutex::new(()),
+            cfg,
+            stats: PoolCounters::default(),
         });
         let spawn = |lane: Lane, i: usize| {
             let shared = Arc::clone(&shared);
@@ -349,9 +299,9 @@ impl GuardPool {
                 .spawn(move || worker_loop(shared, executor, lane))
                 .expect("spawn authzd worker")
         };
-        let workers = (0..cfg.workers.max(1))
+        let workers = (0..shared.cfg.workers)
             .map(|i| spawn(Lane::Embedded, i))
-            .chain((0..cfg.external_workers).map(|i| spawn(Lane::External, i)))
+            .chain((0..shared.cfg.external_workers).map(|i| spawn(Lane::External, i)))
             .collect();
         GuardPool {
             shared,
@@ -381,12 +331,12 @@ impl GuardPool {
     /// the external lane when one is configured.
     pub fn try_submit(&self, req: AuthzRequest) -> Option<AuthzTicket> {
         let shared = &self.shared;
-        let lane = if req.external && shared.external_workers > 0 {
+        let lane = if req.external && shared.cfg.external_workers > 0 {
             Lane::External
         } else {
             Lane::Embedded
         };
-        let priority = match &shared.prioritizer {
+        let priority = match &shared.cfg.prioritizer {
             Some(pri) => pri(&req),
             None => 0,
         };
@@ -394,17 +344,19 @@ impl GuardPool {
         if queue.shutdown {
             return None;
         }
-        if queue.lanes[lane as usize].len() >= shared.max_queued {
-            shared.rejected.fetch_add(1, Ordering::SeqCst);
+        if queue.lanes[lane as usize].len() >= shared.cfg.max_queued {
+            shared.stats.rejected.add(1);
             return Some(AuthzTicket::ready(AuthzOutcome::Fault(format!(
                 "authzd {} queue at high-water mark ({})",
                 lane.name(),
-                shared.max_queued
+                shared.cfg.max_queued
             ))));
         }
         let inner = TicketInner::new();
         let ticket = AuthzTicket::from_inner(Arc::clone(&inner));
-        shared.submitted.fetch_add(1, Ordering::SeqCst);
+        shared.stats.submitted.add(1);
+        let generation = queue.generation;
+        queue.outstanding[generation] += 1;
         let submitted_at = req.submitted_at;
         let enqueued_at = shared.timers().map(|_| Instant::now());
         queue.lanes[lane as usize].push_back(Pending {
@@ -412,6 +364,7 @@ impl GuardPool {
             ticket: inner,
             priority,
             enqueued_at,
+            generation,
         });
         drop(queue);
         // Submit span: submitter's stamp → admitted into the queue.
@@ -422,21 +375,31 @@ impl GuardPool {
         Some(ticket)
     }
 
-    /// Wait until every request submitted before this call has
-    /// completed — on *both* lanes (the counters are pool-global, so
-    /// a fence covers in-flight external batches too). This is the
-    /// invalidation fence: `setgoal` calls it after bumping the goal
-    /// epoch so that any batch evaluated under the old goal has
-    /// re-validated (and, if stale, re-evaluated) before the syscall
-    /// returns. Rejected submissions were never admitted and are not
-    /// waited for.
+    /// Wait until every request *admitted before this call* has
+    /// completed, on both lanes. This is the invalidation fence:
+    /// `setgoal` calls it after bumping the goal epoch so that any
+    /// batch evaluated under the old goal has re-validated (and, if
+    /// stale, re-evaluated) before the syscall returns.
+    ///
+    /// It waits for those requests, not for a count: the fence flips
+    /// the admission generation and waits for the old one to drain, so
+    /// a request admitted later cannot release it by finishing first
+    /// (a `completed ≥ submitted-at-entry` fence could, and did).
+    /// Concurrent calls take turns. Rejected submissions were never
+    /// admitted and are not waited for; [`shutdown`](Self::shutdown)
+    /// faults the backlog and so releases waiters; on return,
+    /// `stats().completed` already covers every request waited for.
+    /// A stuck external authority therefore holds up `setgoal` until
+    /// it unsticks: the second lane keeps *authorizations* flowing
+    /// past a wedged authority, not policy writes.
     pub fn quiesce(&self) {
-        let target = self.shared.submitted.load(Ordering::SeqCst);
+        let _turn = self.shared.fence.lock().expect("authzd fence");
         let mut queue = self.shared.queue.lock().expect("authzd queue");
-        while self.shared.completed.load(Ordering::SeqCst) < target {
+        let old = queue.generation;
+        queue.generation ^= 1;
+        while queue.outstanding[old] > 0 {
             queue = self.shared.drained.wait(queue).expect("authzd quiesce");
         }
-        drop(queue);
     }
 
     /// Statistics snapshot.
@@ -446,17 +409,9 @@ impl GuardPool {
             queue.lanes.each_ref().map(|l| l.len() as u64)
         };
         PoolStats {
-            submitted: self.shared.submitted.load(Ordering::SeqCst),
-            completed: self.shared.completed.load(Ordering::SeqCst),
-            batches: self.shared.batches.load(Ordering::SeqCst),
-            coalesced: self.shared.coalesced.load(Ordering::SeqCst),
-            max_batch_seen: self.shared.max_batch_seen.load(Ordering::SeqCst),
-            rejected: self.shared.rejected.load(Ordering::SeqCst),
-            external_batches: self.shared.external_batches.load(Ordering::SeqCst),
-            callback_panics: self.shared.callback_panics.load(Ordering::SeqCst),
-            executor_panics: self.shared.executor_panics.load(Ordering::SeqCst),
             embedded_depth: depth[Lane::Embedded as usize],
             external_depth: depth[Lane::External as usize],
+            ..self.shared.stats.snapshot()
         }
     }
 
@@ -472,21 +427,16 @@ impl GuardPool {
         for cv in &self.shared.work {
             cv.notify_all();
         }
-        let n = leftovers.len() as u64;
+        let mut done = [0u64; 2];
         let mut panics = 0u64;
         for p in leftovers {
+            done[p.generation] += 1;
             panics += p
                 .ticket
                 .complete(AuthzOutcome::Fault("authzd pool shut down".into()));
         }
-        if panics > 0 {
-            self.shared
-                .callback_panics
-                .fetch_add(panics, Ordering::SeqCst);
-        }
-        if n > 0 {
-            self.shared.note_completed(n);
-        }
+        self.shared.stats.callback_panics.add(panics);
+        self.shared.note_completed(done);
         let handles: Vec<JoinHandle<()>> = self
             .workers
             .lock()
@@ -525,7 +475,7 @@ fn pop_batch(shared: &Shared, lane: Lane) -> Option<(BatchKey, Vec<Pending>)> {
         let assembly_start = shared.timers().map(|_| Instant::now());
         let entries = &mut queue.lanes[lane as usize];
         let window = entries.len().min(SCAN_WINDOW);
-        let lead_idx = if shared.prioritizer.is_none() {
+        let lead_idx = if shared.cfg.prioritizer.is_none() {
             0
         } else {
             // Priorities were computed at submit time: this scan is a
@@ -548,7 +498,7 @@ fn pop_batch(shared: &Shared, lane: Lane) -> Option<(BatchKey, Vec<Pending>)> {
         // spends one unit, so the critical section stays O(window)
         // even against a deep backlog of same-key requests.
         let mut budget = SCAN_WINDOW;
-        while i < entries.len() && budget > 0 && batch.len() < shared.cfg_max_batch {
+        while i < entries.len() && budget > 0 && batch.len() < shared.cfg.max_batch {
             budget -= 1;
             // Compare by reference — no per-entry key clones while the
             // queue mutex is held.
@@ -580,6 +530,10 @@ fn pop_batch(shared: &Shared, lane: Lane) -> Option<(BatchKey, Vec<Pending>)> {
 
 fn worker_loop(shared: Arc<Shared>, executor: Arc<dyn BatchExecutor>, lane: Lane) {
     while let Some((key, batch)) = pop_batch(&shared, lane) {
+        let mut done = [0u64; 2];
+        for p in &batch {
+            done[p.generation] += 1;
+        }
         // Move the owned requests out — the executor borrows them, no
         // proof-tree clones on the worker hot path.
         let (reqs, tickets): (Vec<AuthzRequest>, Vec<Arc<TicketInner>>) =
@@ -592,21 +546,17 @@ fn worker_loop(shared: Arc<Shared>, executor: Arc<dyn BatchExecutor>, lane: Lane
         // tickets are completed below either way.
         let outcomes = catch_unwind(AssertUnwindSafe(|| executor.execute_batch(&key, &reqs)))
             .unwrap_or_else(|_| {
-                shared.executor_panics.fetch_add(1, Ordering::SeqCst);
+                shared.stats.executor_panics.add(1);
                 vec![AuthzOutcome::Fault("authz batch executor panicked".into()); reqs.len()]
             });
         debug_assert_eq!(outcomes.len(), reqs.len(), "executor contract");
-        shared.batches.fetch_add(1, Ordering::SeqCst);
+        shared.stats.batches.add(1);
         if lane == Lane::External {
-            shared.external_batches.fetch_add(1, Ordering::SeqCst);
+            shared.stats.external_batches.add(1);
         }
-        shared
-            .coalesced
-            .fetch_add(reqs.len().saturating_sub(1) as u64, Ordering::SeqCst);
-        shared
-            .max_batch_seen
-            .fetch_max(reqs.len() as u64, Ordering::SeqCst);
-        let n = tickets.len() as u64;
+        let size = reqs.len() as u64;
+        shared.stats.coalesced.add(size.saturating_sub(1));
+        shared.stats.max_batch_seen.max(size);
         let mut outcomes = outcomes.into_iter();
         let mut panics = 0u64;
         for (i, ticket) in tickets.into_iter().enumerate() {
@@ -623,10 +573,8 @@ fn worker_loop(shared: Arc<Shared>, executor: Arc<dyn BatchExecutor>, lane: Lane
                 timers.record_duration(Stage::Complete, span);
             }
         }
-        if panics > 0 {
-            shared.callback_panics.fetch_add(panics, Ordering::SeqCst);
-        }
-        shared.note_completed(n);
+        shared.stats.callback_panics.add(panics);
+        shared.note_completed(done);
     }
 }
 
@@ -634,8 +582,7 @@ fn worker_loop(shared: Arc<Shared>, executor: Arc<dyn BatchExecutor>, lane: Lane
 mod tests {
     use super::*;
     use nexus_core::{OpName, ResourceId};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
 
     fn req(pid: u64, op: &str, obj: &str) -> AuthzRequest {
@@ -1042,6 +989,70 @@ mod tests {
                 "quiesce returned with work in flight"
             );
         }
+    }
+
+    /// The fence must wait for the requests admitted before it, not
+    /// for a count: A is admitted and held inside the executor, T
+    /// starts `quiesce`, and later requests B complete on a free
+    /// worker. A count-based fence (`completed ≥ submitted-at-entry`)
+    /// is released by the first B that finishes.
+    fn fence_outlasts_later_requests(workers: usize, external_workers: usize) {
+        let gate = GateExecutor::new();
+        let pool = Arc::new(GuardPool::new(
+            GuardPoolConfig {
+                workers,
+                external_workers,
+                ..Default::default()
+            },
+            Arc::new(ExternalGateExecutor {
+                inner: Arc::clone(&gate),
+            }),
+        ));
+        let a = pool.submit(ext_req(0, "poke", "svc:/slow"));
+        gate.await_entered(1); // A is in flight, held at the gate
+        let (started, has_started) = std::sync::mpsc::channel();
+        let returned = Arc::new(AtomicBool::new(false));
+        let fence = {
+            let (pool, returned) = (Arc::clone(&pool), Arc::clone(&returned));
+            std::thread::spawn(move || {
+                started.send(()).unwrap();
+                pool.quiesce();
+                returned.store(true, Ordering::SeqCst);
+            })
+        };
+        has_started.recv().unwrap();
+        // Every B round trip parks this thread, so T runs into the
+        // fence within the first few; each B after that would release
+        // a fence that only counts.
+        let mut released_by = None;
+        for pid in 1..=200u64 {
+            let b = pool.submit(req(pid * 2, "read", &format!("file:/{pid}")));
+            assert_eq!(b.wait(), AuthzOutcome::Allow);
+            if returned.load(Ordering::SeqCst) {
+                released_by = Some(pid);
+                break;
+            }
+        }
+        // Open the gate before judging, so a failure cannot strand A.
+        gate.release();
+        fence.join().unwrap();
+        assert_eq!(
+            released_by, None,
+            "quiesce returned after that many later requests while an older one was in flight"
+        );
+        assert_eq!(a.try_outcome(), Some(AuthzOutcome::Allow));
+    }
+
+    #[test]
+    fn quiesce_waits_for_an_older_request_on_the_other_lane() {
+        fence_outlasts_later_requests(1, 1);
+    }
+
+    #[test]
+    fn quiesce_waits_for_an_older_request_on_the_same_lane() {
+        // No external lane: A rides the embedded lane and occupies one
+        // of its two workers; the Bs complete on the other.
+        fence_outlasts_later_requests(2, 0);
     }
 
     #[test]

@@ -50,23 +50,24 @@
 //! length-prefixed operation and object bytes followed by the digest
 //! — without building an `OpName`, a `Principal` or a [`CacheKey`].
 //! Fills and invalidations take the same borrowed form; the
-//! `CacheKey` methods digest the key's subject and call it.
+//! `CacheKey` methods (`lookup`, `insert`, `insert_if`) digest the
+//! key's subject and call it.
 //!
 //! [`resize`]: DecisionCache::resize
 //!
 //! Fills are *epoch-validated*: [`DecisionCache::insert_if`] re-checks
 //! the caller's validity predicate inside the subregion writer lock,
 //! so a racing `setgoal` invalidation can never be overwritten by a
-//! stale decision. Statistics are striped across padded cache lines so
-//! the hit counter itself cannot become the contention point.
+//! stale decision. The counters every probe bumps (hits, misses,
+//! retries, fallbacks) are [`nexus_obs::Striped`] cells, so the hit
+//! counter itself cannot become the contention point.
 
 use crate::resource::{OpName, ResourceId};
 use nexus_nal::Principal;
-use nexus_obs::{Collect, MetricsRegistry};
 use parking_lot::Mutex;
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::snapshot::Snapshot;
 
@@ -116,53 +117,27 @@ impl Default for DecisionCacheConfig {
     }
 }
 
-/// Statistics counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecisionCacheStats {
-    /// Lookups that found a valid entry.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries cleared by invalidation.
-    pub invalidations: u64,
-    /// Insertions that displaced a colliding entry.
-    pub collisions: u64,
-    /// Seqlock read attempts that observed a concurrent writer (odd
-    /// or changed sequence) and retried the probe.
-    pub read_retries: u64,
-    /// Lookups that exhausted the bounded retry budget and fell back
-    /// to the locked slow path (still exactly one hit or miss each).
-    pub read_fallbacks: u64,
-}
-
-impl Collect for DecisionCacheStats {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        r.counter("nexus_dcache_hits_total", "decision-cache hits", self.hits)
-            .counter(
-                "nexus_dcache_misses_total",
-                "decision-cache misses",
-                self.misses,
-            )
-            .counter(
-                "nexus_dcache_invalidations_total",
-                "decision-cache epoch invalidations",
-                self.invalidations,
-            )
-            .counter(
-                "nexus_dcache_collisions_total",
-                "decision-cache set-conflict evictions",
-                self.collisions,
-            )
-            .counter(
-                "nexus_dcache_read_retries_total",
-                "seqlock read retries (torn reads)",
-                self.read_retries,
-            )
-            .counter(
-                "nexus_dcache_read_fallbacks_total",
-                "seqlock reads that fell back to the table lock",
-                self.read_fallbacks,
-            );
+nexus_obs::counters! {
+    /// Statistics counters.
+    pub struct DecisionCacheStats, live DecisionCacheCounters {
+        /// Lookups that found a valid entry.
+        hits: striped counter "nexus_dcache_hits_total" "decision-cache hits",
+        /// Lookups that missed.
+        misses: striped counter "nexus_dcache_misses_total" "decision-cache misses",
+        /// Entries cleared by invalidation.
+        invalidations: plain counter
+            "nexus_dcache_invalidations_total" "decision-cache epoch invalidations",
+        /// Insertions that displaced a colliding entry.
+        collisions: plain counter
+            "nexus_dcache_collisions_total" "decision-cache set-conflict evictions",
+        /// Seqlock read attempts that observed a concurrent writer (odd
+        /// or changed sequence) and retried the probe.
+        read_retries: striped counter
+            "nexus_dcache_read_retries_total" "seqlock read retries (torn reads)",
+        /// Lookups that exhausted the bounded retry budget and fell back
+        /// to the locked slow path (still exactly one hit or miss each).
+        read_fallbacks: striped counter
+            "nexus_dcache_read_fallbacks_total" "seqlock reads that fell back to the table lock",
     }
 }
 
@@ -274,44 +249,6 @@ impl Table {
     }
 }
 
-/// Number of cache-line-padded stripes per statistics counter.
-const STAT_STRIPES: usize = 16;
-
-/// One cache line's worth of counter, so adjacent stripes never share
-/// a line (the satellite fix: an unpadded hit counter ping-pongs one
-/// line across every core at 64 threads).
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A statistics counter striped across padded cache lines; threads
-/// are assigned stripes round-robin, so concurrent bumps (mostly)
-/// land on distinct lines and `sum` folds them on demand.
-#[derive(Default)]
-struct StripedCounter {
-    stripes: [PaddedU64; STAT_STRIPES],
-}
-
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STAT_STRIPES;
-}
-
-impl StripedCounter {
-    fn add(&self, n: u64) {
-        let i = STRIPE.with(|s| *s);
-        self.stripes[i].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    fn sum(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
 /// The decision cache: a direct-mapped table partitioned into
 /// per-subregion shards with seqlock slots, safe to share across
 /// threads; the hit path takes no locks (see module docs).
@@ -320,12 +257,7 @@ pub struct DecisionCache {
     /// Keys of [`SubjectDigest`]s. Beside the table, not in it: a
     /// digest taken before a `resize` probes the new table unchanged.
     subject_keys: (RandomState, RandomState),
-    hits: StripedCounter,
-    misses: StripedCounter,
-    read_retries: StripedCounter,
-    read_fallbacks: StripedCounter,
-    invalidations: AtomicU64,
-    collisions: AtomicU64,
+    counters: DecisionCacheCounters,
 }
 
 impl DecisionCache {
@@ -334,12 +266,7 @@ impl DecisionCache {
         DecisionCache {
             table: Snapshot::new(Table::new(cfg)),
             subject_keys: (RandomState::new(), RandomState::new()),
-            hits: StripedCounter::default(),
-            misses: StripedCounter::default(),
-            read_retries: StripedCounter::default(),
-            read_fallbacks: StripedCounter::default(),
-            invalidations: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
+            counters: DecisionCacheCounters::default(),
         }
     }
 
@@ -434,22 +361,22 @@ impl DecisionCache {
                 if probe.is_some() {
                     break;
                 }
-                self.read_retries.add(1);
+                self.counters.read_retries.add(1);
             }
             let verdict = match probe {
                 Some((slo, shi, meta)) => {
                     (meta & OCCUPIED != 0 && slo == lo && shi == hi).then_some(meta & ALLOW != 0)
                 }
                 None => {
-                    self.read_fallbacks.add(1);
+                    self.counters.read_fallbacks.add(1);
                     let _g = shard.write_lock.lock();
                     Self::probe_locked(slot, lo, hi)
                 }
             };
             match verdict {
-                Some(_) => self.hits.add(1),
-                None => self.misses.add(1),
-            }
+                Some(_) => self.counters.hits.add(1),
+                None => self.counters.misses.add(1),
+            };
             verdict
         })
     }
@@ -488,7 +415,7 @@ impl DecisionCache {
             }
             // Another subject's live entry in this slot is displaced.
             if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0 && !slot.holds(lo, hi) {
-                self.collisions.fetch_add(1, Ordering::Relaxed);
+                self.counters.collisions.add(1);
             }
             Self::write_way(slot, Some((lo, hi)), allow);
             true
@@ -509,14 +436,9 @@ impl DecisionCache {
             let _g = shard.write_lock.lock();
             if slot.holds(lo, hi) {
                 Self::write_way(slot, None, false);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
+                self.counters.invalidations.add(1);
             }
         })
-    }
-
-    /// [`invalidate`](Self::invalidate) by owned key.
-    pub fn invalidate_entry(&self, key: &CacheKey) {
-        self.invalidate(self.digest(&key.subject), &key.operation.0, &key.object)
     }
 
     /// Invalidate the whole subregion for (operation, object) — a
@@ -529,7 +451,7 @@ impl DecisionCache {
             for slot in &shard.slots {
                 if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0 {
                     Self::write_way(slot, None, false);
-                    self.invalidations.fetch_add(1, Ordering::Relaxed);
+                    self.counters.invalidations.add(1);
                 }
             }
         })
@@ -546,7 +468,7 @@ impl DecisionCache {
                 for slot in &shard.slots {
                     if slot.meta.load(Ordering::Relaxed) & OCCUPIED != 0 {
                         Self::write_way(slot, None, false);
-                        self.invalidations.fetch_add(1, Ordering::Relaxed);
+                        self.counters.invalidations.add(1);
                     }
                 }
             }
@@ -568,14 +490,7 @@ impl DecisionCache {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> DecisionCacheStats {
-        DecisionCacheStats {
-            hits: self.hits.sum(),
-            misses: self.misses.sum(),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            read_retries: self.read_retries.sum(),
-            read_fallbacks: self.read_fallbacks.sum(),
-        }
+        self.counters.snapshot()
     }
 
     /// Number of live entries.
@@ -643,7 +558,7 @@ mod tests {
         let k2 = key("bob", "read", "file:/x");
         c.insert(k1.clone(), true);
         c.insert(k2.clone(), false);
-        c.invalidate_entry(&k1);
+        c.invalidate(c.digest(&k1.subject), "read", &k1.object);
         assert_eq!(c.lookup(&k1), None);
         assert_eq!(c.lookup(&k2), Some(false));
     }
@@ -804,7 +719,7 @@ mod tests {
 
         assert!(c.fill_if(d, "read", &k.object, false, || true));
         assert_eq!(c.lookup(&k), Some(false));
-        c.invalidate_entry(&k);
+        c.invalidate(c.digest(&k.subject), "read", &k.object);
         assert_eq!(c.probe(d, "read", &k.object), None);
         assert_eq!(c.stats().invalidations, 2);
     }

@@ -22,11 +22,9 @@ use nexus_nal::{
     BatchGoal, CheckError, Formula, Principal, Proof, ProofSearch, ProveOutcome, ProverConfig,
     Subst, Term,
 };
-use nexus_obs::{Collect, MetricsRegistry};
 use parking_lot::Mutex;
 use sha2::{Digest as _, Sha256};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A guarded access request.
 #[derive(Debug, Clone)]
@@ -116,119 +114,51 @@ impl Default for GuardCacheConfig {
     }
 }
 
-/// Guard statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GuardStats {
-    /// Total checks performed.
-    pub checks: u64,
-    /// Proof-checking work skipped via the guard cache.
-    pub cache_hits: u64,
-    /// Full proof checks.
-    pub cache_misses: u64,
-    /// Authority consultations.
-    pub authority_queries: u64,
-    /// Entries evicted from the guard cache.
-    pub evictions: u64,
-    /// Checks served through [`Guard::check_batch`] that shared an
-    /// amortized goal normalization with the rest of their batch.
-    pub batched: u64,
-}
-
-impl Collect for GuardStats {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        r.counter(
-            "nexus_guard_checks_total",
-            "guard proof checks",
-            self.checks,
-        )
-        .counter(
-            "nexus_guard_cache_hits_total",
-            "guard proof-cache hits",
-            self.cache_hits,
-        )
-        .counter(
-            "nexus_guard_cache_misses_total",
-            "guard proof-cache misses",
-            self.cache_misses,
-        )
-        .counter(
-            "nexus_guard_authority_queries_total",
-            "authority predicate queries",
-            self.authority_queries,
-        )
-        .counter(
-            "nexus_guard_evictions_total",
-            "guard proof-cache evictions",
-            self.evictions,
-        )
-        .counter(
-            "nexus_guard_batched_total",
-            "requests checked through check_batch",
-            self.batched,
-        );
+nexus_obs::counters! {
+    /// Guard statistics.
+    pub struct GuardStats, live GuardCounters {
+        /// Total checks performed.
+        checks: plain counter "nexus_guard_checks_total" "guard proof checks",
+        /// Proof-checking work skipped via the guard cache.
+        cache_hits: plain counter "nexus_guard_cache_hits_total" "guard proof-cache hits",
+        /// Full proof checks.
+        cache_misses: plain counter "nexus_guard_cache_misses_total" "guard proof-cache misses",
+        /// Authority consultations.
+        authority_queries: plain counter
+            "nexus_guard_authority_queries_total" "authority predicate queries",
+        /// Entries evicted from the guard cache.
+        evictions: plain counter "nexus_guard_evictions_total" "guard proof-cache evictions",
+        /// Checks served through [`Guard::check_batch`] that shared an
+        /// amortized goal normalization with the rest of their batch.
+        batched: plain counter
+            "nexus_guard_batched_total" "requests checked through check_batch",
     }
 }
 
-/// Statistics of the guard's batch-prover session (the auto-prove
-/// path for requests arriving without a stored or supplied proof).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProverStats {
-    /// Subgoals answered from the prover memo instead of searched.
-    pub memo_hits: u64,
-    /// Memoizable subgoals that had to be searched.
-    pub memo_misses: u64,
-    /// Frontier-sharing groups formed across batches (one proof
-    /// search per group).
-    pub batch_groups: u64,
-    /// Batch members whose entire proof was spliced from their
-    /// group leader's search.
-    pub batch_shared: u64,
-    /// Session flushes forced by epoch movement (credential/label
-    /// movement invalidates the memo exactly like the decision cache).
-    pub flushes: u64,
-    /// Auto-prove goals that yielded a proof.
-    pub proved: u64,
-    /// Auto-prove goals the bounded search gave up on.
-    pub failed: u64,
-}
-
-impl Collect for ProverStats {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        r.counter(
-            "nexus_prover_memo_hits_total",
-            "prover memo hits",
-            self.memo_hits,
-        )
-        .counter(
-            "nexus_prover_memo_misses_total",
-            "prover memo misses",
-            self.memo_misses,
-        )
-        .counter(
-            "nexus_prover_batch_groups_total",
-            "distinct frontier groups across batches",
-            self.batch_groups,
-        )
-        .counter(
-            "nexus_prover_batch_shared_total",
-            "goals that shared an earlier goal's frontier",
-            self.batch_shared,
-        )
-        .counter(
-            "nexus_prover_flushes_total",
-            "memo flushes (label-removal epoch moved)",
-            self.flushes,
-        )
-        .counter(
-            "nexus_prover_proved_total",
-            "auto-prove successes",
-            self.proved,
-        )
-        .counter(
-            "nexus_prover_failed_total",
-            "auto-prove failures",
-            self.failed,
-        );
+nexus_obs::counters! {
+    /// Statistics of the guard's batch-prover session (the auto-prove
+    /// path for requests arriving without a stored or supplied proof).
+    pub struct ProverStats, live ProverCounters {
+        /// Subgoals answered from the prover memo instead of searched.
+        memo_hits: plain counter "nexus_prover_memo_hits_total" "prover memo hits",
+        /// Memoizable subgoals that had to be searched.
+        memo_misses: plain counter "nexus_prover_memo_misses_total" "prover memo misses",
+        /// Frontier-sharing groups formed across batches (one proof
+        /// search per group).
+        batch_groups: plain counter
+            "nexus_prover_batch_groups_total" "distinct frontier groups across batches",
+        /// Batch members whose entire proof was spliced from their
+        /// group leader's search.
+        batch_shared: plain counter
+            "nexus_prover_batch_shared_total" "goals that shared an earlier goal's frontier",
+        /// Session flushes forced by epoch movement (credential/label
+        /// movement invalidates the memo exactly like the decision cache).
+        flushes: plain counter
+            "nexus_prover_flushes_total" "memo flushes (label-removal epoch moved)",
+        /// Auto-prove goals that yielded a proof.
+        proved: plain counter "nexus_prover_proved_total" "auto-prove successes",
+        /// Auto-prove goals the bounded search gave up on.
+        failed: plain counter "nexus_prover_failed_total" "auto-prove failures",
     }
 }
 
@@ -263,25 +193,14 @@ struct GuardCache {
 
 /// The guard. Internally synchronized: `check` takes `&self`, so one
 /// guard can serve concurrent requests (the memo cache is a mutex,
-/// statistics are atomics, and everything else is immutable
+/// statistics are atomic cells, and everything else is immutable
 /// configuration).
 pub struct Guard {
     cfg: GuardCacheConfig,
     cache: Mutex<GuardCache>,
-    checks: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    authority_queries: AtomicU64,
-    evictions: AtomicU64,
-    batched: AtomicU64,
+    counters: GuardCounters,
     prover: Mutex<Option<ProverSession>>,
-    prover_hits: AtomicU64,
-    prover_misses: AtomicU64,
-    prover_groups: AtomicU64,
-    prover_shared: AtomicU64,
-    prover_flushes: AtomicU64,
-    prover_proved: AtomicU64,
-    prover_failed: AtomicU64,
+    prover_counters: ProverCounters,
 }
 
 impl Guard {
@@ -295,20 +214,9 @@ impl Guard {
         Guard {
             cfg,
             cache: Mutex::new(GuardCache::default()),
-            checks: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            authority_queries: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
+            counters: GuardCounters::default(),
             prover: Mutex::new(None),
-            prover_hits: AtomicU64::new(0),
-            prover_misses: AtomicU64::new(0),
-            prover_groups: AtomicU64::new(0),
-            prover_shared: AtomicU64::new(0),
-            prover_flushes: AtomicU64::new(0),
-            prover_proved: AtomicU64::new(0),
-            prover_failed: AtomicU64::new(0),
+            prover_counters: ProverCounters::default(),
         }
     }
 
@@ -351,7 +259,7 @@ impl Guard {
     ) -> Vec<Decision> {
         if goal.is_ground() && reqs.len() > 1 {
             let norm_goal = normalize(goal);
-            self.batched.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+            self.counters.batched.add(reqs.len() as u64);
             reqs.iter()
                 .map(|req| self.check_instantiated(req, goal, &norm_goal, authorities))
                 .collect()
@@ -372,7 +280,7 @@ impl Guard {
         norm_goal: &Formula,
         authorities: &AuthorityRegistry,
     ) -> Decision {
-        self.checks.fetch_add(1, Ordering::Relaxed);
+        self.counters.checks.add(1);
         // Trivial goals need no proof: `true` is the "default ALLOW"
         // policy of Figure 4's `no goal` case.
         if *norm_goal == Formula::True {
@@ -418,7 +326,7 @@ impl Guard {
             // registered authority for P.
             if let Formula::Says(p, s) = leaf {
                 if let Some(answer) = authorities.query(p, s) {
-                    self.authority_queries.fetch_add(1, Ordering::Relaxed);
+                    self.counters.authority_queries.add(1);
                     cacheable = false; // dynamic state ⇒ uncacheable
                     if answer {
                         continue;
@@ -442,10 +350,10 @@ impl Guard {
     ) -> (Result<(Formula, Formula), CheckError>, Vec<Formula>) {
         let key = Self::digest_proof(proof);
         if let Some(hit) = self.cache.lock().entries.get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.cache_hits.add(1);
             return (hit.result.clone(), hit.leaves.clone());
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.cache_misses.add(1);
         // Validate rule applications with the proof's own leaves
         // admitted; credential presence is checked separately. The
         // lock is *not* held across the check itself — concurrent
@@ -511,7 +419,7 @@ impl Guard {
         if let Some(queue) = cache.order.get_mut(owner) {
             if let Some(old) = queue.pop_front() {
                 cache.entries.remove(&old);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.counters.evictions.add(1);
             }
             if queue.is_empty() {
                 cache.order.remove(owner);
@@ -575,7 +483,7 @@ impl Guard {
                 // way — stale entries must not serve the new epoch,
                 // and old entries may reflect old limits.
                 if s.epoch != epoch {
-                    self.prover_flushes.fetch_add(1, Ordering::Relaxed);
+                    self.prover_counters.flushes.add(1);
                 }
                 s.epoch = epoch;
                 s.search = ProofSearch::new(cfg);
@@ -592,32 +500,24 @@ impl Guard {
         let before = session.search.stats();
         let out = session.search.prove_batch_explained(goals);
         let after = session.search.stats();
-        self.prover_hits
-            .fetch_add(after.memo_hits - before.memo_hits, Ordering::Relaxed);
-        self.prover_misses
-            .fetch_add(after.memo_misses - before.memo_misses, Ordering::Relaxed);
-        self.prover_groups
-            .fetch_add(after.batch_groups - before.batch_groups, Ordering::Relaxed);
-        self.prover_shared
-            .fetch_add(after.batch_shared - before.batch_shared, Ordering::Relaxed);
+        let tally = &self.prover_counters;
+        for (cell, was, now) in [
+            (&tally.memo_hits, before.memo_hits, after.memo_hits),
+            (&tally.memo_misses, before.memo_misses, after.memo_misses),
+            (&tally.batch_groups, before.batch_groups, after.batch_groups),
+            (&tally.batch_shared, before.batch_shared, after.batch_shared),
+        ] {
+            cell.add(now - was);
+        }
         let proved = out.iter().filter(|p| p.proof.is_some()).count() as u64;
-        self.prover_proved.fetch_add(proved, Ordering::Relaxed);
-        self.prover_failed
-            .fetch_add(out.len() as u64 - proved, Ordering::Relaxed);
+        tally.proved.add(proved);
+        tally.failed.add(out.len() as u64 - proved);
         out
     }
 
     /// Prover-session statistics snapshot.
     pub fn prover_stats(&self) -> ProverStats {
-        ProverStats {
-            memo_hits: self.prover_hits.load(Ordering::Relaxed),
-            memo_misses: self.prover_misses.load(Ordering::Relaxed),
-            batch_groups: self.prover_groups.load(Ordering::Relaxed),
-            batch_shared: self.prover_shared.load(Ordering::Relaxed),
-            flushes: self.prover_flushes.load(Ordering::Relaxed),
-            proved: self.prover_proved.load(Ordering::Relaxed),
-            failed: self.prover_failed.load(Ordering::Relaxed),
-        }
+        self.prover_counters.snapshot()
     }
 
     /// Number of subgoal entries currently memoized by the prover
@@ -632,14 +532,7 @@ impl Guard {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> GuardStats {
-        GuardStats {
-            checks: self.checks.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            authority_queries: self.authority_queries.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            batched: self.batched.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Current number of memoized checks.

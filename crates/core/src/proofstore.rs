@@ -37,15 +37,14 @@ impl ProofStore {
         Self::default()
     }
 
-    /// Install (or replace) the proof for a tuple. Returns the cache
-    /// key so the caller can invalidate the decision cache.
+    /// Install (or replace) the proof for a tuple.
     pub fn set_proof(
         &self,
         subject: Principal,
         operation: OpName,
         object: ResourceId,
         proof: Proof,
-    ) -> CacheKey {
+    ) {
         let key = CacheKey {
             subject,
             operation,
@@ -54,28 +53,28 @@ impl ProofStore {
         self.proofs.update(|proofs| {
             // Epoch first, inside the writer lock (see struct docs).
             self.epoch.fetch_add(1, Ordering::Relaxed);
-            proofs.insert(key.clone(), Arc::new(proof));
+            proofs.insert(key, Arc::new(proof));
         });
-        key
     }
 
-    /// Remove the proof for a tuple.
+    /// Remove the proof for a tuple; `true` if one was stored.
     pub fn clear_proof(
         &self,
         subject: &Principal,
         operation: &OpName,
         object: &ResourceId,
-    ) -> Option<CacheKey> {
+    ) -> bool {
         let key = CacheKey {
             subject: subject.clone(),
             operation: operation.clone(),
             object: object.clone(),
         };
         self.proofs.update(|proofs| {
-            proofs.remove(&key).map(|_| {
+            let removed = proofs.remove(&key).is_some();
+            if removed {
                 self.epoch.fetch_add(1, Ordering::Relaxed);
-                key.clone()
-            })
+            }
+            removed
         })
     }
 
@@ -155,9 +154,9 @@ mod tests {
         let proof = Proof::assume(parse("A says p").unwrap());
         ps.set_proof(subject.clone(), op.clone(), obj.clone(), proof.clone());
         assert_eq!(ps.get(&subject, &op, &obj), Some(proof.clone()));
-        assert!(ps.clear_proof(&subject, &op, &obj).is_some());
+        assert!(ps.clear_proof(&subject, &op, &obj));
         assert!(ps.get(&subject, &op, &obj).is_none());
-        assert!(ps.clear_proof(&subject, &op, &obj).is_none());
+        assert!(!ps.clear_proof(&subject, &op, &obj));
     }
 
     #[test]

@@ -21,48 +21,28 @@ use nexus_obs::{Collect, MetricsRegistry, TelemetrySnapshot};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Application-side counters (what the delivery path did to the
-/// kernel), alongside the BRB protocol counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Broadcast protocol counters.
-    pub brb: BrbCounters,
-    /// Labels minted into this node's kernel from deliveries.
-    pub applied_mints: u64,
-    /// Labels revoked (with the fence) from deliveries.
-    pub applied_revocations: u64,
-    /// Delivered ops that could not be applied (unparsable statement,
-    /// missing label) — kept at zero by every honest schedule.
-    pub apply_errors: u64,
-    /// Delivered ops rejected before touching the or-set because
-    /// their mint dot was not bound to the envelope's origin (a
-    /// Byzantine member spending another node's dot namespace).
-    pub rejected_ops: u64,
-}
-
-impl Collect for NodeStats {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        self.brb.collect(r);
-        r.counter(
-            "nexus_dist_applied_mints_total",
-            "labels minted from deliveries",
-            self.applied_mints,
-        )
-        .counter(
-            "nexus_dist_applied_revocations_total",
-            "labels revoked (fenced) from deliveries",
-            self.applied_revocations,
-        )
-        .counter(
-            "nexus_dist_apply_errors_total",
-            "delivered ops that failed to apply",
-            self.apply_errors,
-        )
-        .counter(
-            "nexus_dist_rejected_ops_total",
+nexus_obs::counters! {
+    /// Application-side counters (what the delivery path did to the
+    /// kernel), alongside the BRB protocol counters.
+    pub struct NodeStats(
+        /// Broadcast protocol counters.
+        brb: BrbCounters
+    ) {
+        /// Labels minted into this node's kernel from deliveries.
+        applied_mints: counter "nexus_dist_applied_mints_total" "labels minted from deliveries",
+        /// Labels revoked (with the fence) from deliveries.
+        applied_revocations: counter
+            "nexus_dist_applied_revocations_total" "labels revoked (fenced) from deliveries",
+        /// Delivered ops that could not be applied (unparsable statement,
+        /// missing label) — kept at zero by every honest schedule.
+        apply_errors: counter
+            "nexus_dist_apply_errors_total" "delivered ops that failed to apply",
+        /// Delivered ops rejected before touching the or-set because
+        /// their mint dot was not bound to the envelope's origin (a
+        /// Byzantine member spending another node's dot namespace).
+        rejected_ops: counter
+            "nexus_dist_rejected_ops_total"
             "delivered ops rejected for an origin-unbound mint dot",
-            self.rejected_ops,
-        );
     }
 }
 

@@ -28,7 +28,6 @@
 
 use crate::orset::{Dot, LabelOp, LabelRecord};
 use ed25519_dalek::{Signature, Signer, SigningKey, Verifier, VerifyingKey};
-use nexus_obs::{Collect, MetricsRegistry};
 use sha2::{Digest as _, Sha256};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -369,57 +368,28 @@ struct Slot {
     delivered: bool,
 }
 
-/// Counters the observability layer surfaces per node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BrbCounters {
-    /// Messages accepted and processed.
-    pub accepted: u64,
-    /// Messages dropped for a bad link or origin signature.
-    pub rejected_sigs: u64,
-    /// Sends conflicting with an already-accepted envelope for the
-    /// same slot (an equivocating origin).
-    pub equivocations: u64,
-    /// Redundant messages (duplicate votes, replayed sends).
-    pub duplicates: u64,
-    /// Messages dropped by the per-origin undelivered-slot window or
-    /// the per-slot digest cap (Byzantine flood defense).
-    pub rejected_bounds: u64,
-    /// Ops delivered.
-    pub delivered: u64,
-}
-
-impl Collect for BrbCounters {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        r.counter(
-            "nexus_dist_brb_accepted_total",
-            "broadcast messages accepted",
-            self.accepted,
-        )
-        .counter(
-            "nexus_dist_brb_rejected_sigs_total",
-            "broadcast messages dropped for bad signatures",
-            self.rejected_sigs,
-        )
-        .counter(
-            "nexus_dist_brb_equivocations_total",
-            "conflicting Sends observed for an accepted slot",
-            self.equivocations,
-        )
-        .counter(
-            "nexus_dist_brb_duplicates_total",
-            "redundant broadcast messages",
-            self.duplicates,
-        )
-        .counter(
-            "nexus_dist_brb_rejected_bounds_total",
+nexus_obs::counters! {
+    /// Counters the observability layer surfaces per node.
+    pub struct BrbCounters {
+        /// Messages accepted and processed.
+        accepted: counter "nexus_dist_brb_accepted_total" "broadcast messages accepted",
+        /// Messages dropped for a bad link or origin signature.
+        rejected_sigs: counter
+            "nexus_dist_brb_rejected_sigs_total" "broadcast messages dropped for bad signatures",
+        /// Sends conflicting with an already-accepted envelope for the
+        /// same slot (an equivocating origin).
+        equivocations: counter
+            "nexus_dist_brb_equivocations_total" "conflicting Sends observed for an accepted slot",
+        /// Redundant messages (duplicate votes, replayed sends).
+        duplicates: counter "nexus_dist_brb_duplicates_total" "redundant broadcast messages",
+        /// Messages dropped by the per-origin undelivered-slot window or
+        /// the per-slot digest cap (Byzantine flood defense).
+        rejected_bounds: counter
+            "nexus_dist_brb_rejected_bounds_total"
             "broadcast messages dropped by the per-origin slot window or per-slot digest cap",
-            self.rejected_bounds,
-        )
-        .counter(
-            "nexus_dist_brb_delivered_total",
-            "ops delivered by the broadcast layer",
-            self.delivered,
-        );
+        /// Ops delivered.
+        delivered: counter
+            "nexus_dist_brb_delivered_total" "ops delivered by the broadcast layer",
     }
 }
 

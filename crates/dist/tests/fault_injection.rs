@@ -438,4 +438,76 @@ fn seq_flood_drops_surface_in_the_node_snapshot_next_to_the_kernel_series() {
     ] {
         assert!(snap.get(name).is_some(), "missing metric {name}");
     }
+    // And the node's own rows follow the kernel's, in this order.
+    let kernel_rows = cluster.nexus(0).telemetry_snapshot().metrics.len();
+    let shape: String = snap.metrics[kernel_rows..]
+        .iter()
+        .map(|m| {
+            let kind = match m.value {
+                nexus_obs::SampleValue::Counter(_) => "counter",
+                nexus_obs::SampleValue::Gauge(_) => "gauge",
+                nexus_obs::SampleValue::Histogram(_) => "histogram",
+            };
+            format!("{} {kind} {}\n", m.name, m.help)
+        })
+        .collect();
+    assert_eq!(shape, NODE_SHAPE);
+}
+
+/// What `DistNode::metrics()` appends to the kernel's series, one
+/// `name kind help` per line: the broadcast endpoint's counters, then
+/// the delivery path's. Captured from the hand-written `Collect` impls
+/// the `counters!` tables replaced (PR 14 found one of these series
+/// missing; nothing pinned them).
+const NODE_SHAPE: &str = "\
+nexus_dist_brb_accepted_total counter broadcast messages accepted
+nexus_dist_brb_rejected_sigs_total counter broadcast messages dropped for bad signatures
+nexus_dist_brb_equivocations_total counter conflicting Sends observed for an accepted slot
+nexus_dist_brb_duplicates_total counter redundant broadcast messages
+nexus_dist_brb_rejected_bounds_total counter broadcast messages dropped by the per-origin slot window or per-slot digest cap
+nexus_dist_brb_delivered_total counter ops delivered by the broadcast layer
+nexus_dist_applied_mints_total counter labels minted from deliveries
+nexus_dist_applied_revocations_total counter labels revoked (fenced) from deliveries
+nexus_dist_apply_errors_total counter delivered ops that failed to apply
+nexus_dist_rejected_ops_total counter delivered ops rejected for an origin-unbound mint dot
+";
+
+#[test]
+fn a_hostile_statement_is_an_apply_error_not_a_dead_cluster() {
+    // One member's validly signed mint carries a statement nested
+    // 200 000 parentheses deep. Every replica delivers it — the
+    // broadcast layer does not read statements — and must refuse it
+    // at the parser instead of descending into it.
+    let seed = 0xdee9;
+    let mut cluster = Cluster::new(BYZ_N, seed);
+    let deep = format!("{}p{}", "(".repeat(200_000), ")".repeat(200_000));
+    cluster.mint(0, "alice", "CA", &deep);
+    assert!(cluster.run_until_converged(4), "deep mint: seed={seed}");
+    for i in 0..BYZ_N as u32 {
+        let stats = cluster.node(i).stats();
+        assert_eq!(stats.apply_errors, 1, "node {i}: seed={seed}");
+        assert_eq!(stats.applied_mints, 0, "node {i}: seed={seed}");
+    }
+    // The cluster is alive: an honest mint and its revocation still
+    // reach every replica.
+    let rec = cluster.mint(1, "alice", "CA", "ok");
+    assert!(cluster.run_until_converged(4), "mint: seed={seed}");
+    for i in 0..BYZ_N as u32 {
+        assert!(cluster.has_label(i, &rec), "node {i}: seed={seed}");
+    }
+    assert!(cluster.revoke(1, &rec), "seed={seed}");
+    assert!(cluster.run_until_converged(4), "revoke: seed={seed}");
+    for i in 0..BYZ_N as u32 {
+        assert!(!cluster.has_label(i, &rec), "node {i}: seed={seed}");
+        let stats = cluster.node(i).stats();
+        assert_eq!(
+            (
+                stats.applied_mints,
+                stats.applied_revocations,
+                stats.apply_errors
+            ),
+            (1, 1, 1),
+            "node {i}: seed={seed}"
+        );
+    }
 }

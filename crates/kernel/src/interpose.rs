@@ -9,11 +9,10 @@
 //! stack on one channel, and `interpose` itself can be monitored.
 
 use crate::error::KernelError;
-use nexus_obs::{Collect, MetricsRegistry};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A call crossing an interposed channel.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,8 +97,7 @@ pub struct Redirector {
     cache: Mutex<HashMap<(u64, u64, String, String), ChainOutcome>>,
     /// Global switch for the verdict cache.
     caching_enabled: AtomicBool,
-    hits: AtomicU64,
-    invocations: AtomicU64,
+    counters: InterposeCounters,
 }
 
 impl Default for Redirector {
@@ -115,8 +113,7 @@ impl Redirector {
             chains: RwLock::new(HashMap::new()),
             cache: Mutex::new(HashMap::new()),
             caching_enabled: AtomicBool::new(true),
-            hits: AtomicU64::new(0),
-            invocations: AtomicU64::new(0),
+            counters: InterposeCounters::default(),
         }
     }
 
@@ -172,7 +169,7 @@ impl Redirector {
             Some(c) if !c.is_empty() => c,
             _ => return Ok(ChainOutcome::Proceed),
         };
-        self.invocations.fetch_add(1, Ordering::Relaxed);
+        self.counters.invocations.add(1);
         // Re-queried on every dispatch (not snapshotted at install):
         // a stateful monitor may stop being cacheable over its life.
         let caching =
@@ -185,7 +182,7 @@ impl Redirector {
         );
         if caching {
             if let Some(outcome) = self.cache.lock().get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.add(1);
                 return Ok(outcome.clone());
             }
         }
@@ -227,34 +224,18 @@ impl Redirector {
 
     /// Verdict-cache statistics snapshot.
     pub fn stats(&self) -> InterposeStats {
-        InterposeStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            invocations: self.invocations.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 }
 
-/// Redirector statistics: interposed-dispatch verdict caching.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InterposeStats {
-    /// Dispatches answered from the verdict cache.
-    pub hits: u64,
-    /// Total dispatches that traversed an interposed channel.
-    pub invocations: u64,
-}
-
-impl Collect for InterposeStats {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        r.counter(
-            "nexus_interpose_invocations_total",
-            "redirector monitor invocations",
-            self.invocations,
-        )
-        .counter(
-            "nexus_interpose_hits_total",
-            "redirector verdict-cache hits",
-            self.hits,
-        );
+nexus_obs::counters! {
+    /// Redirector statistics: interposed-dispatch verdict caching.
+    pub struct InterposeStats, live InterposeCounters {
+        /// Total dispatches that traversed an interposed channel.
+        invocations: plain counter
+            "nexus_interpose_invocations_total" "redirector monitor invocations",
+        /// Dispatches answered from the verdict cache.
+        hits: plain counter "nexus_interpose_hits_total" "redirector verdict-cache hits",
     }
 }
 

@@ -28,8 +28,6 @@ pub struct Ipd {
     pub relinquished: HashSet<&'static str>,
     /// Application-published introspection keys (`/proc/app/<pid>/…`).
     pub published: HashMap<String, String>,
-    /// Alive?
-    pub alive: bool,
 }
 
 impl Ipd {
@@ -70,37 +68,19 @@ impl IpdTable {
                 labelstore: LabelStore::new(),
                 relinquished: HashSet::new(),
                 published: HashMap::new(),
-                alive: true,
             },
         );
         pid
     }
 
-    /// Terminate a process.
-    pub fn kill(&mut self, pid: u64) -> Result<(), KernelError> {
-        match self.ipds.get_mut(&pid) {
-            Some(ipd) => {
-                ipd.alive = false;
-                Ok(())
-            }
-            None => Err(KernelError::NoSuchIpd(pid)),
-        }
-    }
-
     /// Look up a process.
     pub fn get(&self, pid: u64) -> Result<&Ipd, KernelError> {
-        self.ipds
-            .get(&pid)
-            .filter(|i| i.alive)
-            .ok_or(KernelError::NoSuchIpd(pid))
+        self.ipds.get(&pid).ok_or(KernelError::NoSuchIpd(pid))
     }
 
     /// Look up a process mutably.
     pub fn get_mut(&mut self, pid: u64) -> Result<&mut Ipd, KernelError> {
-        self.ipds
-            .get_mut(&pid)
-            .filter(|i| i.alive)
-            .ok_or(KernelError::NoSuchIpd(pid))
+        self.ipds.get_mut(&pid).ok_or(KernelError::NoSuchIpd(pid))
     }
 
     /// Parent pid.
@@ -108,24 +88,19 @@ impl IpdTable {
         Ok(self.get(pid)?.parent)
     }
 
-    /// All live pids, ascending.
+    /// All pids, ascending.
     pub fn pids(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self
-            .ipds
-            .values()
-            .filter(|i| i.alive)
-            .map(|i| i.pid)
-            .collect();
+        let mut v: Vec<u64> = self.ipds.keys().copied().collect();
         v.sort_unstable();
         v
     }
 
-    /// Number of live processes.
+    /// Number of processes.
     pub fn len(&self) -> usize {
-        self.ipds.values().filter(|i| i.alive).count()
+        self.ipds.len()
     }
 
-    /// True if no live processes.
+    /// True if no processes.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -163,16 +138,6 @@ mod tests {
         let c = t.spawn("c", 0, b"one");
         assert_ne!(t.get(a).unwrap().launch_hash, t.get(b).unwrap().launch_hash);
         assert_eq!(t.get(a).unwrap().launch_hash, t.get(c).unwrap().launch_hash);
-    }
-
-    #[test]
-    fn kill_hides_process() {
-        let mut t = IpdTable::new();
-        let a = t.spawn("a", 0, b"");
-        t.kill(a).unwrap();
-        assert!(t.get(a).is_err());
-        assert!(t.pids().is_empty());
-        assert!(t.kill(99).is_err());
     }
 
     #[test]

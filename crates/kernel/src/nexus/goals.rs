@@ -89,11 +89,10 @@ impl Nexus {
         object: &ResourceId,
         proof: Proof,
     ) -> Result<(), KernelError> {
-        let subject = self.principal(pid)?;
-        let key = self
-            .proofs
+        let (subject, digest) = self.with_hot(pid, |h| (h.principal.clone(), h.digest))?;
+        self.proofs
             .set_proof(subject, OpName::from(op), object.clone(), proof);
-        self.dcache.invalidate_entry(&key);
+        self.dcache.invalidate(digest, op, object);
         Ok(())
     }
 
@@ -104,9 +103,9 @@ impl Nexus {
         op: &str,
         object: &ResourceId,
     ) -> Result<(), KernelError> {
-        let subject = self.principal(pid)?;
-        if let Some(key) = self.proofs.clear_proof(&subject, &OpName::from(op), object) {
-            self.dcache.invalidate_entry(&key);
+        let (subject, digest) = self.with_hot(pid, |h| (h.principal.clone(), h.digest))?;
+        if self.proofs.clear_proof(&subject, &OpName::from(op), object) {
+            self.dcache.invalidate(digest, op, object);
         }
         Ok(())
     }

@@ -10,8 +10,7 @@ use crate::error::KernelError;
 use crate::ipd::IpdTable;
 use nexus_core::{Certificate, Label, LabelHandle, ResourceId};
 use nexus_nal::{Formula, Principal};
-use nexus_obs::{event as audit_event, AuditPath, AuditVerdict, Collect, MetricsRegistry};
-use std::sync::atomic::{AtomicU64, Ordering};
+use nexus_obs::{event as audit_event, AuditPath, AuditVerdict};
 
 /// What [`Nexus::withdraw`] did with the label it removed.
 enum Withdrawn {
@@ -149,9 +148,9 @@ impl Nexus {
     /// re-analyzing.
     pub fn note_analysis(&self, cache_hit: bool) {
         if cache_hit {
-            self.attest.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.attest.analysis_cache_hits.add(1);
         } else {
-            self.attest.analyses.fetch_add(1, Ordering::Relaxed);
+            self.attest.analyses_run.add(1);
         }
     }
 
@@ -170,7 +169,7 @@ impl Nexus {
         let claim = Self::claim_name(&statement);
         let label = Label { speaker, statement };
         let handle = Self::deposit(&mut self.ipds.write(), subject_pid, label)?;
-        self.attest.minted.fetch_add(1, Ordering::Relaxed);
+        self.attest.credentials_minted.add(1);
         self.journal_credential(
             AuditPath::Analyzer,
             subject_pid,
@@ -193,7 +192,7 @@ impl Nexus {
     ) -> Result<(), KernelError> {
         self.principal(analyzer_pid)?;
         self.principal(subject_pid)?;
-        self.attest.refused.fetch_add(1, Ordering::Relaxed);
+        self.attest.credentials_refused.add(1);
         self.journal_credential(
             AuditPath::Analyzer,
             subject_pid,
@@ -209,7 +208,7 @@ impl Nexus {
     /// complete (the label left through the fenced `withdraw` door).
     pub fn revoke_credential(&self, subject_pid: u64, h: LabelHandle) -> Result<(), KernelError> {
         let label = self.withdraw_dropped(subject_pid, h)?;
-        self.attest.revoked.fetch_add(1, Ordering::Relaxed);
+        self.attest.credentials_revoked.add(1);
         self.journal_credential(
             AuditPath::Analyzer,
             subject_pid,
@@ -222,13 +221,7 @@ impl Nexus {
 
     /// Cumulative attestation-path counters.
     pub fn attest_stats(&self) -> AttestStats {
-        AttestStats {
-            analyses_run: self.attest.analyses.load(Ordering::Relaxed),
-            analysis_cache_hits: self.attest.cache_hits.load(Ordering::Relaxed),
-            credentials_minted: self.attest.minted.load(Ordering::Relaxed),
-            credentials_refused: self.attest.refused.load(Ordering::Relaxed),
-            credentials_revoked: self.attest.revoked.load(Ordering::Relaxed),
-        }
+        self.attest.snapshot()
     }
 
     /// The claim (predicate) name a credential statement asserts.
@@ -279,7 +272,7 @@ impl Nexus {
     ) -> Result<LabelHandle, KernelError> {
         let claim = Self::claim_name(&statement);
         let handle = Self::deposit(&mut self.ipds.write(), pid, Label { speaker, statement })?;
-        self.dist.remote_mints.fetch_add(1, Ordering::Relaxed);
+        self.dist.remote_mints.add(1);
         self.journal_credential(
             AuditPath::Replication,
             pid,
@@ -297,7 +290,7 @@ impl Nexus {
     /// replica as its delivery is applied).
     pub fn apply_remote_revoke(&self, pid: u64, h: LabelHandle) -> Result<Label, KernelError> {
         let label = self.withdraw_dropped(pid, h)?;
-        self.dist.remote_revocations.fetch_add(1, Ordering::Relaxed);
+        self.dist.remote_revocations.add(1);
         self.journal_credential(
             AuditPath::Replication,
             pid,
@@ -310,101 +303,47 @@ impl Nexus {
 
     /// Cumulative replication-path counters.
     pub fn dist_stats(&self) -> DistStats {
-        DistStats {
-            remote_mints: self.dist.remote_mints.load(Ordering::Relaxed),
-            remote_revocations: self.dist.remote_revocations.load(Ordering::Relaxed),
-        }
+        self.dist.snapshot()
     }
 }
 
-/// Live counters behind [`Nexus::attest_stats`] (the analyzer
-/// credential path, ISSUE 8).
-#[derive(Default)]
-pub(super) struct AttestCounters {
-    analyses: AtomicU64,
-    cache_hits: AtomicU64,
-    minted: AtomicU64,
-    refused: AtomicU64,
-    revoked: AtomicU64,
-}
-
-/// Live counters behind [`Nexus::dist_stats`] (the replicated
-/// credential path, ISSUE 9): label changes this kernel applied
-/// because a remote broadcast op was delivered, not because a local
-/// process invoked a system call.
-#[derive(Default)]
-pub(super) struct DistCounters {
-    remote_mints: AtomicU64,
-    remote_revocations: AtomicU64,
-}
-
-/// A frozen copy of the replication-path counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DistStats {
-    /// Labels minted on delivery of a remote broadcast op.
-    pub remote_mints: u64,
-    /// Labels revoked (with the full fence) on delivery of a remote
-    /// broadcast op.
-    pub remote_revocations: u64,
-}
-
-impl Collect for DistStats {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        r.counter(
-            "nexus_dist_remote_mints_total",
-            "labels minted from delivered broadcast ops",
-            self.remote_mints,
-        )
-        .counter(
-            "nexus_dist_remote_revocations_total",
+nexus_obs::counters! {
+    /// A frozen copy of the replication-path counters (the replicated
+    /// credential path, ISSUE 9): label changes this kernel applied
+    /// because a remote broadcast op was delivered, not because a local
+    /// process invoked a system call.
+    pub struct DistStats, live DistCounters {
+        /// Labels minted on delivery of a remote broadcast op.
+        remote_mints: plain counter
+            "nexus_dist_remote_mints_total" "labels minted from delivered broadcast ops",
+        /// Labels revoked (with the full fence) on delivery of a remote
+        /// broadcast op.
+        remote_revocations: plain counter
+            "nexus_dist_remote_revocations_total"
             "labels revoked (and fenced) from delivered broadcast ops",
-            self.remote_revocations,
-        );
     }
 }
 
-/// A frozen copy of the attestation-path counters: analyzer runs,
-/// analysis-cache reuse, and the mint/refuse/revoke tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AttestStats {
-    /// Analyses actually run (analysis-cache misses).
-    pub analyses_run: u64,
-    /// Attestation requests answered from a cached analysis result.
-    pub analysis_cache_hits: u64,
-    /// Credentials minted into labelstores.
-    pub credentials_minted: u64,
-    /// Credentials refused (analysis found a witness).
-    pub credentials_refused: u64,
-    /// Credentials revoked after re-analysis or binary change.
-    pub credentials_revoked: u64,
-}
-
-impl Collect for AttestStats {
-    fn collect(&self, r: &mut MetricsRegistry) {
-        r.counter(
-            "nexus_attest_analyses_total",
-            "analyzer runs (analysis-cache misses)",
-            self.analyses_run,
-        )
-        .counter(
-            "nexus_attest_analysis_cache_hits_total",
+nexus_obs::counters! {
+    /// A frozen copy of the attestation-path counters (the analyzer
+    /// credential path, ISSUE 8): analyzer runs, analysis-cache reuse,
+    /// and the mint/refuse/revoke tallies.
+    pub struct AttestStats, live AttestCounters {
+        /// Analyses actually run (analysis-cache misses).
+        analyses_run: plain counter
+            "nexus_attest_analyses_total" "analyzer runs (analysis-cache misses)",
+        /// Attestation requests answered from a cached analysis result.
+        analysis_cache_hits: plain counter
+            "nexus_attest_analysis_cache_hits_total"
             "attestation requests served from cached analysis results",
-            self.analysis_cache_hits,
-        )
-        .counter(
-            "nexus_attest_minted_total",
-            "analyzer credentials minted",
-            self.credentials_minted,
-        )
-        .counter(
-            "nexus_attest_refused_total",
-            "analyzer credentials refused",
-            self.credentials_refused,
-        )
-        .counter(
-            "nexus_attest_revoked_total",
-            "analyzer credentials revoked (binary changed)",
-            self.credentials_revoked,
-        );
+        /// Credentials minted into labelstores.
+        credentials_minted: plain counter
+            "nexus_attest_minted_total" "analyzer credentials minted",
+        /// Credentials refused (analysis found a witness).
+        credentials_refused: plain counter
+            "nexus_attest_refused_total" "analyzer credentials refused",
+        /// Credentials revoked after re-analysis or binary change.
+        credentials_revoked: plain counter
+            "nexus_attest_revoked_total" "analyzer credentials revoked (binary changed)",
     }
 }

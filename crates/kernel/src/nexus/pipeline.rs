@@ -93,12 +93,11 @@ impl Nexus {
     }
 
     /// The invalidation fence: wait until every authorization
-    /// submitted to the pipeline before this point has completed —
-    /// the pool's quiesce counters span both the embedded and the
-    /// external worker lanes, so the fence covers in-flight external
-    /// batches too. Called after `setgoal`/`transfer_label` bump
-    /// their epochs, so that by the time the invalidating syscall
-    /// returns, any batch evaluated under the old goal has
+    /// admitted to the pipeline before this point has completed, on
+    /// the embedded and the external worker lane alike (see
+    /// [`GuardPool::quiesce`]). Called after `setgoal`/`transfer_label`
+    /// bump their epochs, so that by the time the invalidating
+    /// syscall returns, any batch evaluated under the old goal has
     /// re-validated its epochs (and re-evaluated if stale) — no stale
     /// allow can complete later.
     pub(super) fn fence_in_flight_authz(&self) {

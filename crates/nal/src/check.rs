@@ -22,6 +22,15 @@ use std::collections::HashSet;
 /// involve less than 15 steps").
 pub const MAX_PROOF_NODES: usize = 1 << 20;
 
+/// Deepest nesting the parser accepts or builds, counting formula
+/// connectives, term applications and subprincipal components alike.
+/// Everything that later walks a parsed formula recurses once per
+/// level, so this is what keeps a hostile `((((…` or `not not not …`
+/// from overflowing the stack of whoever parses it. Nothing in the
+/// tree (tests, apps, proptest generators) nests past twelve: the
+/// whole suite passes with the bound set there.
+pub(crate) const MAX_NESTING: usize = 128;
+
 /// Rewrite `Not(p)` into `Implies(p, False)` recursively, giving every
 /// formula a canonical constructive form.
 pub fn normalize(f: &Formula) -> Formula {
@@ -94,23 +103,11 @@ impl Assumptions {
 // deliberate trade.
 #[allow(clippy::result_large_err)]
 pub fn check(proof: &Proof, assumptions: &Assumptions) -> Result<Formula, CheckError> {
-    check_with_hypotheses(proof, assumptions, &mut Vec::new())
-}
-
-/// Check a proof in a context of already-introduced hypotheses. Guards
-/// use the plain [`check`]; this entry point exists for checking proof
-/// fragments (lemmas) inside the guard cache.
-#[allow(clippy::result_large_err)]
-pub fn check_with_hypotheses(
-    proof: &Proof,
-    assumptions: &Assumptions,
-    hypotheses: &mut Vec<Formula>,
-) -> Result<Formula, CheckError> {
     let n = proof.size();
     if n > MAX_PROOF_NODES {
         return Err(CheckError::TooLarge(n));
     }
-    chk(proof, assumptions, hypotheses)
+    chk(proof, assumptions, &mut Vec::new())
 }
 
 #[allow(clippy::result_large_err)]

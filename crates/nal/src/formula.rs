@@ -59,8 +59,8 @@ impl CmpOp {
 ///
 /// `Not(p)` is constructively equivalent to `Implies(p, False)`; the
 /// checker treats the two interchangeably (see
-/// [`Formula::not_as_implies`]), but `Not` is kept as a constructor so
-/// labels render the way the paper writes them
+/// [`normalize`](crate::check::normalize)), but `Not` is kept as a
+/// constructor so labels render the way the paper writes them
 /// (`¬hasPath(/proc/ipd/12, Filesystem)`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Formula {
@@ -157,37 +157,6 @@ impl Formula {
         Formula::Not(Box::new(self))
     }
 
-    /// View `Not(p)` as `Implies(p, False)`, the constructive meaning.
-    /// Returns `self` unchanged for other constructors.
-    pub fn not_as_implies(&self) -> Formula {
-        match self {
-            Formula::Not(p) => Formula::Implies(p.clone(), Box::new(Formula::False)),
-            other => other.clone(),
-        }
-    }
-
-    /// Structural equality modulo the `Not(p)` ≡ `p → False`
-    /// identification, applied recursively.
-    pub fn equivalent(&self, other: &Formula) -> bool {
-        use Formula::*;
-        match (self, other) {
-            (Not(a), b) | (b, Not(a)) if !matches!(b, Not(_)) => {
-                // Not(a) ≡ a → False
-                if let Implies(x, y) = b {
-                    y.as_ref().equivalent(&False) && x.equivalent(a)
-                } else {
-                    false
-                }
-            }
-            (Not(a), Not(b)) => a.equivalent(b),
-            (And(a1, a2), And(b1, b2))
-            | (Or(a1, a2), Or(b1, b2))
-            | (Implies(a1, a2), Implies(b1, b2)) => a1.equivalent(b1) && a2.equivalent(b2),
-            (Says(p, a), Says(q, b)) => p == q && a.equivalent(b),
-            _ => self == other,
-        }
-    }
-
     /// Flatten a conjunction tree into its conjuncts (a single
     /// non-conjunction formula yields itself).
     pub fn conjuncts(&self) -> Vec<&Formula> {
@@ -203,15 +172,6 @@ impl Formula {
         }
         walk(self, &mut out);
         out
-    }
-
-    /// Build the right-nested conjunction of `items`; `True` if empty.
-    pub fn conj(items: Vec<Formula>) -> Formula {
-        let mut it = items.into_iter().rev();
-        match it.next() {
-            None => Formula::True,
-            Some(last) => it.fold(last, |acc, f| f.and(acc)),
-        }
     }
 
     /// True if the formula contains no goal variables.
@@ -313,12 +273,6 @@ impl Formula {
                 1 + a.size() + b.size()
             }
         }
-    }
-
-    /// Canonical string form: deterministic, fully parenthesized where
-    /// needed; used as the digest input for credential hashing.
-    pub fn canonical(&self) -> String {
-        self.to_string()
     }
 }
 
@@ -441,23 +395,10 @@ mod tests {
     }
 
     #[test]
-    fn not_equivalence() {
-        let not_p = Formula::pred("p", vec![]).not();
-        let imp = Formula::pred("p", vec![]).implies(Formula::False);
-        assert!(not_p.equivalent(&imp));
-        assert!(imp.equivalent(&not_p));
-        assert!(!not_p.equivalent(&Formula::pred("p", vec![])));
-    }
-
-    #[test]
     fn conjunct_flattening() {
-        let f = Formula::conj(vec![
-            Formula::pred("a", vec![]),
-            Formula::pred("b", vec![]),
-            Formula::pred("c", vec![]),
-        ]);
+        let f = Formula::pred("a", vec![])
+            .and(Formula::pred("b", vec![]).and(Formula::pred("c", vec![])));
         assert_eq!(f.conjuncts().len(), 3);
-        assert_eq!(Formula::conj(vec![]), Formula::True);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod subst;
 pub mod term;
 pub mod worldview;
 
-pub use check::{check, check_with_hypotheses, normalize, Assumptions};
+pub use check::{check, normalize, Assumptions};
 pub use error::{CheckError, ParseError};
 pub use formula::{CmpOp, Formula};
 pub use parser::{parse, parse_principal, parse_term};

@@ -4,7 +4,15 @@
 //! token stream (no backtracking blow-ups) and produces the same AST
 //! that the pretty-printer consumes, so `parse(f.to_string()) == f` for
 //! all formulas (see the proptest in this module).
+//!
+//! NAL text arrives from outside (a `say`, a certificate, a replicated
+//! mint), so the parser also bounds what it builds: nothing nests
+//! deeper than `MAX_NESTING` (128 levels, defined beside
+//! `check::MAX_PROOF_NODES`) — neither the descent itself nor the
+//! tree it returns, which everything downstream (`normalize`,
+//! `Display`, `Drop`) walks recursively.
 
+use crate::check::MAX_NESTING;
 use crate::error::ParseError;
 use crate::formula::{CmpOp, Formula};
 use crate::lexer::{tokenize, Spanned, Token};
@@ -14,9 +22,89 @@ use crate::term::Term;
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Levels of tree above the construct being parsed.
+    depth: usize,
+    /// Deepest level anything reached since the innermost open chain
+    /// began (see [`Parser::chain`]); never below `depth`.
+    deepest: usize,
+    /// Parentheses currently open. They add no level to the tree, only
+    /// to the descent, and the printer wraps a node at most once — so
+    /// they get a budget of their own, and whatever parses re-parses
+    /// from its printed form.
+    parens: usize,
 }
 
 impl Parser {
+    /// Parse all of `input` (a `what`, for the error) with `f`.
+    fn run<T>(
+        input: &str,
+        what: &str,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let tokens = tokenize(input)?;
+        if tokens.is_empty() {
+            return Err(ParseError::new(0, "empty input"));
+        }
+        let mut p = Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            deepest: 0,
+            parens: 0,
+        };
+        let parsed = f(&mut p)?;
+        if p.pos != p.tokens.len() {
+            return Err(p.err(format!("trailing input after {what}")));
+        }
+        Ok(parsed)
+    }
+
+    /// `level`, if the bound allows it.
+    fn within_bound(&self, level: usize) -> Result<usize, ParseError> {
+        if level > MAX_NESTING {
+            return Err(self.err(format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        Ok(level)
+    }
+
+    /// Parse with `f` one level down: the body of a `not` or a `says`,
+    /// the right of a `->`, an argument.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth = self.within_bound(self.depth + 1)?;
+        self.deepest = self.deepest.max(self.depth);
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
+    }
+
+    /// Parse a left-associative chain `operand (op operand)*`. The
+    /// descent does not deepen along a chain, but the tree does: every
+    /// link pushes all operands so far one level down. So a chain is
+    /// charged its links on top of the deepest point any operand
+    /// reached, and reports that sum to whatever encloses it.
+    fn chain(
+        &mut self,
+        op: &Token,
+        operand: fn(&mut Self) -> Result<Formula, ParseError>,
+        join: fn(Formula, Formula) -> Formula,
+    ) -> Result<Formula, ParseError> {
+        let outside = std::mem::replace(&mut self.deepest, self.depth);
+        let mut lhs = operand(self)?;
+        let mut links = 0;
+        while self.peek() == Some(op) {
+            self.pos += 1;
+            links += 1;
+            let rhs = operand(self)?;
+            self.within_bound(self.deepest + links)?;
+            lhs = join(lhs, rhs);
+        }
+        self.deepest = outside.max(self.deepest + links);
+        Ok(lhs)
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|s| &s.token)
     }
@@ -59,7 +147,7 @@ impl Parser {
         let lhs = self.or()?;
         if matches!(self.peek(), Some(Token::Implies)) {
             self.pos += 1;
-            let rhs = self.implies()?;
+            let rhs = self.nested(Self::implies)?;
             Ok(lhs.implies(rhs))
         } else {
             Ok(lhs)
@@ -67,23 +155,11 @@ impl Parser {
     }
 
     fn or(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.and()?;
-        while matches!(self.peek(), Some(Token::Or)) {
-            self.pos += 1;
-            let rhs = self.and()?;
-            lhs = lhs.or(rhs);
-        }
-        Ok(lhs)
+        self.chain(&Token::Or, Self::and, Formula::or)
     }
 
     fn and(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.unary()?;
-        while matches!(self.peek(), Some(Token::And)) {
-            self.pos += 1;
-            let rhs = self.unary()?;
-            lhs = lhs.and(rhs);
-        }
-        Ok(lhs)
+        self.chain(&Token::And, Self::unary, Formula::and)
     }
 
     // unary := NOT unary | TRUE | FALSE | "(" formula ")" | statement
@@ -91,7 +167,7 @@ impl Parser {
         match self.peek() {
             Some(Token::Not) => {
                 self.pos += 1;
-                Ok(self.unary()?.not())
+                Ok(self.nested(Self::unary)?.not())
             }
             Some(Token::True) => {
                 self.pos += 1;
@@ -103,7 +179,9 @@ impl Parser {
             }
             Some(Token::LParen) => {
                 self.pos += 1;
+                self.parens = self.within_bound(self.parens + 1)?;
                 let f = self.formula()?;
+                self.parens -= 1;
                 self.expect(&Token::RParen, "')'")?;
                 Ok(f)
             }
@@ -121,7 +199,7 @@ impl Parser {
                 let p = term_to_principal(&t).ok_or_else(|| {
                     self.err(format!("'{t}' cannot be a principal before 'says'"))
                 })?;
-                let body = self.unary()?;
+                let body = self.nested(Self::unary)?;
                 Ok(body.says(p))
             }
             Some(Token::SpeaksFor) => {
@@ -191,7 +269,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if !matches!(self.peek(), Some(Token::RParen)) {
                         loop {
-                            args.push(self.term()?);
+                            args.push(self.nested(Self::term)?);
                             match self.peek() {
                                 Some(Token::Comma) => {
                                     self.pos += 1;
@@ -213,7 +291,12 @@ impl Parser {
         if matches!(self.peek(), Some(Token::Dot)) {
             let mut p = term_to_principal(&base)
                 .ok_or_else(|| self.err(format!("'{base}' cannot start a principal chain")))?;
+            let mut links = 0;
             while matches!(self.peek(), Some(Token::Dot)) {
+                // A subprincipal chain is left-deep too (a tree of its
+                // own, so no enclosing chain is charged for it).
+                links += 1;
+                self.within_bound(self.depth + links)?;
                 self.pos += 1;
                 let comp = match self.next() {
                     Some(Token::Ident(c)) => c,
@@ -241,44 +324,18 @@ pub(crate) fn term_to_principal(t: &Term) -> Option<Principal> {
 
 /// Parse a NAL formula from its concrete syntax.
 pub fn parse(input: &str) -> Result<Formula, ParseError> {
-    let tokens = tokenize(input)?;
-    if tokens.is_empty() {
-        return Err(ParseError::new(0, "empty input"));
-    }
-    let mut p = Parser { tokens, pos: 0 };
-    let f = p.formula()?;
-    if p.pos != p.tokens.len() {
-        return Err(p.err("trailing input after formula"));
-    }
-    Ok(f)
+    Parser::run(input, "formula", Parser::formula)
 }
 
 /// Parse a principal expression (e.g. `NK.labelstore./proc/ipd/12`).
 pub fn parse_principal(input: &str) -> Result<Principal, ParseError> {
-    let tokens = tokenize(input)?;
-    if tokens.is_empty() {
-        return Err(ParseError::new(0, "empty input"));
-    }
-    let mut p = Parser { tokens, pos: 0 };
-    let t = p.term()?;
-    if p.pos != p.tokens.len() {
-        return Err(p.err("trailing input after principal"));
-    }
+    let t = Parser::run(input, "principal", Parser::term)?;
     term_to_principal(&t).ok_or_else(|| ParseError::new(0, format!("'{t}' is not a principal")))
 }
 
 /// Parse a term.
 pub fn parse_term(input: &str) -> Result<Term, ParseError> {
-    let tokens = tokenize(input)?;
-    if tokens.is_empty() {
-        return Err(ParseError::new(0, "empty input"));
-    }
-    let mut p = Parser { tokens, pos: 0 };
-    let t = p.term()?;
-    if p.pos != p.tokens.len() {
-        return Err(p.err("trailing input after term"));
-    }
-    Ok(t)
+    Parser::run(input, "term", Parser::term)
 }
 
 #[cfg(test)]
@@ -422,6 +479,81 @@ mod tests {
         assert!(parse("5 says x").is_err());
         assert!(parse("a speaksfor b on").is_err());
         assert!(parse("f(a,").is_err());
+    }
+
+    /// Run `f` on a thread with the 2 MiB stack a test (or a small
+    /// service thread) gets, whatever the harness was started with.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    /// `open` × n, a leaf, `close` × n.
+    fn wrapped(open: &str, n: usize, leaf: &str, close: &str) -> String {
+        format!("{}{leaf}{}", open.repeat(n), close.repeat(n))
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_not_descended() {
+        on_small_stack(|| {
+            const N: usize = 10_000;
+            for hostile in [
+                wrapped("(", N, "p", ")"),
+                wrapped("not ", N, "p", ""),
+                wrapped("A says ", N, "p", ""),
+                wrapped("p -> ", N, "p", ""),
+                wrapped("f(", N, "x", ")"),
+                wrapped("", N, "p", " and p"),
+                wrapped("", N, "p", " or p"),
+            ] {
+                let err = parse(&hostile).unwrap_err();
+                assert!(err.message.contains("nested deeper"), "{err}");
+            }
+            assert!(parse_term(&wrapped("f(", N, "x", ")")).is_err());
+            assert!(parse_principal(&wrapped("", N, "a", ".b")).is_err());
+            // The error points at where the bound was crossed.
+            let err = parse(&wrapped("(", N, "p", ")")).unwrap_err();
+            assert_eq!(err.offset, MAX_NESTING + 1);
+        });
+    }
+
+    #[test]
+    fn nesting_up_to_the_bound_round_trips() {
+        on_small_stack(|| {
+            for (open, leaf, close) in [
+                ("(", "p", ")"),
+                ("not ", "p", ""),
+                ("A says ", "p", ""),
+                ("p -> ", "p", ""),
+                ("f(", "x", ")"),
+                ("", "p", " and p"),
+                ("", "p", " or p"),
+            ] {
+                roundtrip(&wrapped(open, MAX_NESTING, leaf, close));
+                assert!(parse(&wrapped(open, MAX_NESTING + 1, leaf, close)).is_err());
+            }
+            let chain = wrapped("", MAX_NESTING, "a", ".b");
+            assert_eq!(parse_principal(&chain).unwrap().depth(), MAX_NESTING);
+            assert!(parse_principal(&wrapped("", MAX_NESTING + 1, "a", ".b")).is_err());
+        });
+    }
+
+    #[test]
+    fn a_chain_is_charged_for_pushing_its_operands_down() {
+        // Each level of `(… and a × 11)` only opens a parenthesis on
+        // the way down, but deepens the tree by eleven: eleven levels
+        // (121) fit under the bound, twelve (132) do not.
+        let levels = |n: usize| {
+            (0..n).fold("p".to_string(), |inner, _| {
+                format!("({inner}{})", " and a".repeat(11))
+            })
+        };
+        roundtrip(&levels(11));
+        assert!(parse(&levels(12)).is_err());
     }
 
     #[test]

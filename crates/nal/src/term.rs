@@ -66,12 +66,6 @@ impl Term {
         }
     }
 
-    /// True if the term is a literal comparable by evaluation
-    /// (integers and strings have a defined order; symbols do not).
-    pub fn is_literal(&self) -> bool {
-        matches!(self, Term::Int(_) | Term::Str(_))
-    }
-
     /// Collect variable names into `out`.
     pub fn collect_vars(&self, out: &mut Vec<String>) {
         match self {
@@ -165,13 +159,6 @@ mod tests {
         assert!(!Term::app("f", vec![Term::var("X")]).is_ground());
         assert!(Term::app("f", vec![Term::int(1), Term::sym("a")]).is_ground());
         assert!(!Term::Prin(Principal::var("P")).is_ground());
-    }
-
-    #[test]
-    fn literals_vs_symbols() {
-        assert!(Term::int(3).is_literal());
-        assert!(Term::str("x").is_literal());
-        assert!(!Term::sym("Mar19").is_literal());
     }
 
     #[test]

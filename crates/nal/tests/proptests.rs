@@ -214,7 +214,7 @@ fn parser_roundtrip() {
     }
 }
 
-/// Normalization is idempotent and preserves `equivalent`.
+/// Normalization is idempotent.
 #[test]
 fn normalize_idempotent() {
     for case in 0..CASES {
@@ -222,12 +222,9 @@ fn normalize_idempotent() {
             let f = Gen::new(seed).formula(depth);
             let n1 = normalize(&f);
             let n2 = normalize(&n1);
-            if n1 != n2 {
-                return Err(format!("normalize not idempotent on {f}"));
-            }
-            f.equivalent(&f)
+            (n1 == n2)
                 .then_some(())
-                .ok_or_else(|| format!("{f} not equivalent to itself"))
+                .ok_or_else(|| format!("normalize not idempotent on {f}"))
         });
     }
 }

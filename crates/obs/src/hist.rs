@@ -8,10 +8,10 @@
 //! buckets.
 //!
 //! Recording is wait-free: one relaxed `fetch_add` on a striped bucket
-//! counter. Stripes are cache-line-padded per-thread lanes (a thread
-//! picks its stripe once, from a round-robin assignment) so concurrent
-//! recorders do not bounce one counter line between cores. Snapshots
-//! sum the stripes.
+//! counter. Each stripe is a whole bucket array, indexed by the
+//! process-wide thread→stripe assignment of [`crate::cell`], so
+//! concurrent recorders do not bounce one counter line between cores.
+//! Snapshots sum the stripes.
 //!
 //! ## Memory-ordering recipe
 //!
@@ -27,7 +27,8 @@
 //! visible, so a quiesced snapshot reconciles to the exact count (the
 //! concurrency test in this module asserts precisely that).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::cell::{stripe, STRIPES};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per octave (and the width of the exact range).
 const SUB_BUCKETS: usize = 16;
@@ -38,11 +39,6 @@ const SUB_BITS: u32 = 4;
 const OCTAVES: usize = 64 - SUB_BITS as usize;
 /// Total bucket count covering the whole `u64` range.
 pub(crate) const NUM_BUCKETS: usize = (OCTAVES + 1) * SUB_BUCKETS;
-
-/// Concurrent recorder stripes. Each stripe is a full bucket array;
-/// recording threads spread across stripes round-robin so concurrent
-/// `fetch_add`s land on different cache lines.
-const STRIPES: usize = 8;
 
 /// Bucket index of a recorded value.
 fn bucket_of(v: u64) -> usize {
@@ -97,15 +93,6 @@ impl Stripe {
     }
 }
 
-/// Round-robin stripe assignment, cached per thread.
-fn my_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
-    }
-    STRIPE.with(|s| *s)
-}
-
 /// A lock-free log-linear histogram of `u64` samples (nanoseconds, by
 /// convention on the authorize path).
 ///
@@ -141,9 +128,9 @@ impl Histogram {
     /// Record one sample. Wait-free: one relaxed `fetch_add` on this
     /// thread's stripe (plus one for the running sum).
     pub fn record(&self, value: u64) {
-        let stripe = &self.stripes[my_stripe()];
-        stripe.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
-        stripe.sum.fetch_add(value, Ordering::Relaxed);
+        let mine = &self.stripes[stripe()];
+        mine.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        mine.sum.fetch_add(value, Ordering::Relaxed);
     }
 
     /// Sum the stripes into an owned, mergeable snapshot.

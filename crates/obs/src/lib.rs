@@ -2,16 +2,21 @@
 //!
 //! The paper's central claim is that logical attestation makes every
 //! authorization verdict *explainable*; this crate makes the stack
-//! *observable* to match. Three pieces, all hand-rolled on `std`:
+//! *observable* to match. Four pieces, all hand-rolled on `std`:
 //!
 //! * **[`Histogram`]** — lock-free log-linear latency histograms
 //!   (striped atomic buckets, p50/p90/p99/p999, mergeable snapshots)
 //!   behind per-stage timers ([`StageTimers`]) for the authorize path:
 //!   submit → queue-wait → batch-assembly → prove → verify → complete.
-//! * **[`MetricsRegistry`]** — unifies every stats surface behind
-//!   named counter/gauge/histogram samples, frozen into one
-//!   [`TelemetrySnapshot`] with Prometheus-style text and JSON
-//!   renderers; each surface registers itself through [`Collect`].
+//! * **[`MetricsRegistry`] and the [`counters!`] table** — every stats
+//!   surface is one table next to its owner (one row per counter);
+//!   the table generates the surface's [`Collect`], and a holder of
+//!   several surfaces walks them into one [`TelemetrySnapshot`] with
+//!   Prometheus-style text and JSON renderers.
+//! * **[`Plain`] and [`Striped`]** — the two counter cells a table row
+//!   chooses between, and the one thread→stripe assignment every
+//!   striped structure here (cells, histograms, the [`Sampler`])
+//!   shares.
 //! * **[`AuditJournal`]** — a bounded, torn-write-safe ring of
 //!   per-verdict [`AuditEvent`]s: who asked, what the answer was,
 //!   under which epochs, and (for denials) which subgoal the prover
@@ -26,16 +31,18 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod cell;
 pub mod hist;
 pub mod registry;
 
 pub use audit::{event, AuditEvent, AuditJournal, AuditPath, AuditVerdict, StageSpans};
+pub use cell::{Plain, Striped};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{
     json_string, Collect, MetricSample, MetricsRegistry, SampleValue, TelemetrySnapshot,
 };
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Telemetry configuration. Carried inside the kernel's `NexusConfig`
 /// (hence `Copy`); `enabled` may be toggled at runtime, the other
@@ -189,19 +196,14 @@ impl Collect for StageTimers {
     }
 }
 
-/// A striped 1-in-`2^shift` sampler for hit-path auditing: `tick`
-/// costs one relaxed `fetch_add` on a cache-line-spread stripe and
-/// returns `true` once per `2^shift` calls *per stripe* — a uniform
-/// sample without any shared hot counter.
+/// A striped 1-in-`2^shift` sampler for hit-path auditing: a mask over
+/// a [`Striped`] tick count. `tick` costs one relaxed `fetch_add` on
+/// the calling thread's stripe and returns `true` once per `2^shift`
+/// calls *per stripe* — a uniform sample without any shared hot
+/// counter.
 pub struct Sampler {
     mask: u64,
-    stripes: [CachePadded; 8],
-}
-
-#[repr(align(64))]
-#[derive(Default)]
-struct CachePadded {
-    n: AtomicU64,
+    ticks: Striped,
 }
 
 impl Sampler {
@@ -209,28 +211,15 @@ impl Sampler {
     pub fn new(shift: u32) -> Self {
         Sampler {
             mask: (1u64 << shift.min(63)) - 1,
-            stripes: Default::default(),
+            ticks: Striped::default(),
         }
     }
 
     /// Count one event; `true` when this one is sampled.
     #[inline]
     pub fn tick(&self) -> bool {
-        let stripe = &self.stripes[crate::hist_stripe_hint() & 7];
-        stripe.n.fetch_add(1, Ordering::Relaxed) & self.mask == 0
+        self.ticks.add(1) & self.mask == 0
     }
-}
-
-/// Cheap per-thread stripe hint shared by [`Sampler`] (and usable by
-/// other striped structures): a small integer stable for the thread's
-/// lifetime.
-fn hist_stripe_hint() -> usize {
-    use std::sync::atomic::AtomicUsize;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HINT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    HINT.with(|h| *h)
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
 //! The unified metrics registry and its export formats.
 //!
-//! Every stats surface in the stack (`DecisionCacheStats`,
-//! `GuardStats`, `ProverStats`, `PoolStats`, the interpose counters,
-//! the stage histograms, the replication counters) implements
-//! [`Collect`]: it registers its own quantities under stable names
-//! into one [`MetricsRegistry`], which renders them all as one
+//! Every stats surface in the stack implements [`Collect`]: it
+//! registers its own quantities under stable names into one
+//! [`MetricsRegistry`], which renders them all as one
 //! [`TelemetrySnapshot`] — Prometheus-style text exposition or JSON,
-//! both hand-rolled (this crate is dependency-free).
+//! both hand-rolled (this crate is dependency-free). A leaf surface is
+//! a [`counters!`](crate::counters) table, which writes its `Collect`;
+//! the impls written by hand are the ones that *compose* other
+//! surfaces (the kernel, the stage timers, the audit journal).
 //!
 //! The registry is a *collection* surface, not a recording one: hot
-//! paths keep bumping their own striped atomics and histograms; a
-//! snapshot call polls those sources once and freezes the values.
+//! paths keep bumping their own cells and histograms; a snapshot call
+//! polls those sources once and freezes the values.
 
 use crate::hist::HistogramSnapshot;
 
@@ -110,6 +111,99 @@ impl MetricsRegistry {
 pub trait Collect {
     /// Register every sample this surface owns, in a stable order.
     fn collect(&self, r: &mut MetricsRegistry);
+}
+
+/// Declare a stats surface as a table: **one row per counter** — doc
+/// comment, field, cell (`plain` | `striped`, see [`crate::cell`]),
+/// kind (`counter` | `gauge`), metric name, help — and get the live
+/// struct of cells, the frozen all-`u64` struct, the `snapshot()` that
+/// reads one into the other, and the frozen struct's [`Collect`], all
+/// in row order. A new counter is one new row next to the code that
+/// bumps it.
+///
+/// ```
+/// nexus_obs::counters! {
+///     /// Door statistics.
+///     pub struct DoorStats, live DoorCounters {
+///         /// Times the door opened.
+///         opened: striped counter "demo_door_opened_total" "door openings",
+///         /// Most people through in one opening.
+///         widest: plain gauge "demo_door_widest" "largest group admitted",
+///     }
+/// }
+///
+/// let door = DoorCounters::default();
+/// door.opened.add(1);
+/// door.widest.max(3);
+/// assert_eq!(door.snapshot(), DoorStats { opened: 1, widest: 3 });
+/// ```
+///
+/// The live struct is `pub(crate)`: cells are their owner's state, the
+/// frozen struct is what leaves the crate. A gauge derived at read
+/// time (a queue depth) is a row whose cell is never bumped; its owner
+/// overwrites it with struct-update syntax over `snapshot()`.
+///
+/// A surface mutated through `&mut` needs no cells: without
+/// `, live Name` and the cell column, only the struct and its
+/// `Collect` are generated. That form may embed one other surface,
+/// collected first: `struct Outer(inner: Inner) { rows }`.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $Stats:ident, live $Live:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident: $cell:ident $kind:ident $name:literal $help:literal
+            ),* $(,)?
+        }
+    ) => {
+        $crate::counters! {
+            $(#[$meta])*
+            $vis struct $Stats { $( $(#[$fmeta])* $field: $kind $name $help ),* }
+        }
+
+        #[derive(Default)]
+        pub(crate) struct $Live {
+            $( $(#[$fmeta])* pub $field: $crate::counters!(@cell $cell), )*
+        }
+
+        impl $Live {
+            /// Read every cell once.
+            pub fn snapshot(&self) -> $Stats {
+                $Stats { $( $field: self.$field.get(), )* }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $Stats:ident
+            $(( $(#[$emeta:meta])* $embedded:ident: $Embedded:ty ))?
+        {
+            $(
+                $(#[$fmeta:meta])*
+                $field:ident: $kind:ident $name:literal $help:literal
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        $vis struct $Stats {
+            $( $(#[$emeta])* pub $embedded: $Embedded, )?
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        impl $crate::Collect for $Stats {
+            fn collect(&self, r: &mut $crate::MetricsRegistry) {
+                $( $crate::Collect::collect(&self.$embedded, r); )?
+                $( r.$kind($name, $help, $crate::counters!(@$kind self.$field)); )*
+            }
+        }
+    };
+    (@cell plain) => { $crate::Plain };
+    (@cell striped) => { $crate::Striped };
+    (@counter $v:expr) => { $v };
+    (@gauge $v:expr) => { i64::try_from($v).unwrap_or(i64::MAX) };
 }
 
 /// A frozen set of metric samples with text and JSON renderers.
@@ -251,6 +345,53 @@ mod tests {
         assert!(json.contains("\"count\":3"));
         assert!(snap.get("nexus_lat_ns").is_some());
         assert!(snap.get("nope").is_none());
+    }
+
+    crate::counters! {
+        /// A surface with one row of each shape.
+        pub struct DemoStats, live DemoCounters {
+            /// Bumped off the hot path.
+            cold: plain counter "demo_cold_total" "a plain counter",
+            /// Bumped by every thread.
+            hot: striped counter "demo_hot_total" "a striped counter",
+            /// A high-water mark.
+            peak: plain gauge "demo_peak" "a gauge",
+        }
+    }
+
+    #[test]
+    fn counters_table_yields_the_declared_rows_in_order() {
+        let live = DemoCounters::default();
+        live.cold.add(2);
+        live.hot.add(3);
+        live.hot.add(4);
+        live.peak.max(9);
+        live.peak.max(5);
+        let frozen = live.snapshot();
+        assert_eq!(
+            frozen,
+            DemoStats {
+                cold: 2,
+                hot: 7,
+                peak: 9
+            }
+        );
+        let mut reg = MetricsRegistry::new();
+        frozen.collect(&mut reg);
+        let rows: Vec<String> = reg
+            .finish()
+            .metrics
+            .iter()
+            .map(|m| format!("{} {:?} {}", m.name, m.value, m.help))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                "demo_cold_total Counter(2) a plain counter",
+                "demo_hot_total Counter(7) a striped counter",
+                "demo_peak Gauge(9) a gauge",
+            ]
+        );
     }
 
     #[test]
