@@ -26,7 +26,8 @@ use nexus_analyzers::pylite::{
 };
 use nexus_analyzers::CobufId;
 use nexus_core::{
-    AccessRequest, AuthorityKind, AuthorityRegistry, FnAuthority, Guard, OpName, ResourceId,
+    AccessRequest, AuthorityKind, AuthorityRegistry, FnAuthority, Guard, OpName, ProofRef,
+    ResourceId,
 };
 use nexus_kernel::{BootImages, EchoPath, EchoWorld, MonitorLevel, Nexus, NexusConfig};
 use nexus_nal::{parse, Formula, Principal, Proof};
@@ -448,7 +449,7 @@ impl Fauxbook {
             subject: &subject,
             operation: &op,
             object: &object,
-            proof: proof.as_ref(),
+            proof: proof.as_ref().map(ProofRef::Raw),
             labels: &[],
         };
         let decision = self.guard.check(&req, &goal, &self.authorities);

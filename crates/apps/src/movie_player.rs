@@ -8,7 +8,8 @@
 
 use nexus_analyzers::IpcAnalyzer;
 use nexus_core::{
-    AccessRequest, AuthorityKind, AuthorityRegistry, FnAuthority, Guard, OpName, ResourceId,
+    AccessRequest, AuthorityKind, AuthorityRegistry, FnAuthority, Guard, OpName, ProofRef,
+    ResourceId,
 };
 use nexus_kernel::Nexus;
 use nexus_nal::{parse, prove, Formula, Principal, ProverConfig};
@@ -132,7 +133,7 @@ impl MovieService {
             subject: &subject,
             operation: &op,
             object: &object,
-            proof: Some(&proof),
+            proof: Some(ProofRef::Raw(&proof)),
             labels: &labels,
         };
         let d = self.guard.check(&req, &goal, &self.authorities);

@@ -62,6 +62,7 @@ pub use ticket::{AuthzOutcome, AuthzTicket};
 
 use nexus_core::{OpName, ResourceId};
 use nexus_nal::Proof;
+use std::sync::Arc;
 
 /// A request for authorization, queued for off-thread evaluation.
 #[derive(Debug, Clone)]
@@ -73,8 +74,10 @@ pub struct AuthzRequest {
     /// The resource operated on.
     pub object: ResourceId,
     /// An explicitly supplied proof (otherwise the executor falls
-    /// back to the stored proof or auto-proving, like the sync path).
-    pub proof: Option<Proof>,
+    /// back to the stored proof or auto-proving, like the sync path),
+    /// behind the `Arc` it crosses to the worker in: the one copy a
+    /// supplied proof ever gets.
+    pub proof: Option<Arc<Proof>>,
     /// True when evaluating this request may consult an external
     /// (IPC-backed) authority. Classified by the submitter *before*
     /// evaluation — the kernel walks the goal formula and the leaves

@@ -11,7 +11,7 @@
 //! elimination — a connective-level rule of comparable per-step cost;
 //! see "Paper vs. measured" in the README).
 
-use nexus_core::{AccessRequest, AuthorityRegistry, Guard, OpName, ResourceId};
+use nexus_core::{AccessRequest, AuthorityRegistry, Guard, OpName, ProofRef, ResourceId};
 use nexus_nal::check::{check, Assumptions};
 use nexus_nal::{parse, Formula, Principal, Proof};
 use serde::Serialize;
@@ -101,7 +101,7 @@ pub fn measure(family: Family, n: usize, iters: u64) -> Point {
             subject: &subject,
             operation: &op,
             object: &object,
-            proof: Some(&proof),
+            proof: Some(ProofRef::Raw(&proof)),
             labels: &creds,
         };
         let d = guard.check(&req, &goal, &AuthorityRegistry::new());

@@ -8,23 +8,46 @@
 //! indefinitely-valid labels may be stored in the kernel decision
 //! cache; any authority dependence makes the decision uncacheable.
 //!
-//! The guard keeps its own cache of proof-checking work (§2.9):
-//! structural soundness of a (proof, goal) pair never changes, so it
-//! is memoized; *credential matching* — do the leaves hold right now?
-//! — is re-done on every request, which is exactly the paper's split
-//! (Figure 4's `no cred` case costs ~20% over `pass` even when
-//! everything else is cached).
+//! The guard keeps its own cache of proof-checking work (§2.9), and
+//! the split is the paper's: what a proof establishes *by itself* —
+//! that it is sound over its own leaves, what it concludes, which
+//! distinct leaves it rests on — never changes, so it is established
+//! once and kept as a [`Checked`] witness; *credential matching* — do
+//! those leaves hold right now? — is asked on every request (Figure
+//! 4's `no cred` case costs ~20% over `pass` even when everything else
+//! is cached). Where the witness comes from is all that varies: a
+//! proof the prover constructed arrives already `Checked`
+//! ([`ProofRef::Checked`]) and touches no memo at all; a supplied or
+//! stored proof ([`ProofRef::Raw`]) is looked up in the memo by the
+//! proof itself — hashed under the map's own keyed hasher and
+//! confirmed by `Eq`, so no two proofs can ever answer for each other
+//! — and checked, once, on a miss.
 
 use crate::authority::AuthorityRegistry;
 use crate::resource::{OpName, ResourceId};
-use nexus_nal::check::{check, normalize, Assumptions};
+use nexus_nal::check::{check_own_leaves, normalize, Assumptions, Checked};
 use nexus_nal::{
     BatchGoal, CheckError, Formula, Principal, Proof, ProofSearch, ProveOutcome, ProverConfig,
     Subst, Term,
 };
 use parking_lot::Mutex;
-use sha2::{Digest as _, Sha256};
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::Arc;
+
+/// The proof a request is checked with, by what is already known of
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub enum ProofRef<'a> {
+    /// Supplied by the client or fetched from the proof store: its
+    /// soundness is established through the guard's memo (§2.9).
+    Raw(&'a Proof),
+    /// Constructed by the prover, which established its soundness when
+    /// it assembled it: used as is.
+    Checked(&'a Checked),
+}
 
 /// A guarded access request.
 #[derive(Debug, Clone)]
@@ -35,8 +58,8 @@ pub struct AccessRequest<'a> {
     pub operation: &'a OpName,
     /// The resource operated on.
     pub object: &'a ResourceId,
-    /// The client-supplied proof.
-    pub proof: Option<&'a Proof>,
+    /// The proof to check: client-supplied, stored, or auto-proved.
+    pub proof: Option<ProofRef<'a>>,
     /// The client's credentials (label formulas), already
     /// authenticated by the kernel (labelstore) or by certificate
     /// verification at import time.
@@ -170,25 +193,90 @@ struct ProverSession {
     search: ProofSearch,
 }
 
-#[derive(Clone)]
-struct CachedCheck {
-    /// Structural check outcome; on success carries the conclusion
-    /// and its normalization (normalizing is allocation-heavy, so it
-    /// is memoized alongside soundness).
-    result: Result<(Formula, Formula), CheckError>,
-    /// The proof's credential leaves (cloned out so credential
-    /// matching can run without re-walking the proof).
-    leaves: Vec<Formula>,
-    owner: Principal,
+/// A memo entry, hashed and compared as the proof it witnesses: the
+/// map is probed with a borrowed `&Proof` and holds each proof once.
+struct ByProof(Arc<Checked>);
+
+impl Borrow<Proof> for ByProof {
+    fn borrow(&self) -> &Proof {
+        self.0.proof()
+    }
 }
 
+impl Hash for ByProof {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.proof().hash(state);
+    }
+}
+
+impl PartialEq for ByProof {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.proof() == other.0.proof()
+    }
+}
+
+impl Eq for ByProof {}
+
 /// The guard's memoization state, updated as one unit under a lock.
+/// (The hasher is a parameter so a test can force every proof onto one
+/// bucket.)
 #[derive(Default)]
-struct GuardCache {
-    entries: HashMap<u64, CachedCheck>,
+struct GuardCache<S = RandomState> {
+    entries: HashSet<ByProof, S>,
     /// Insertion order per owning root principal, for preferential
     /// eviction.
-    order: HashMap<Principal, VecDeque<u64>>,
+    order: HashMap<Principal, VecDeque<Arc<Checked>>>,
+}
+
+impl<S: BuildHasher> GuardCache<S> {
+    fn get(&self, proof: &Proof) -> Option<Arc<Checked>> {
+        self.entries.get(proof).map(|entry| Arc::clone(&entry.0))
+    }
+
+    /// Admit `witness` on `owner`'s account; `true` if an entry was
+    /// evicted to make room.
+    fn insert(&mut self, owner: &Principal, witness: Arc<Checked>, cfg: &GuardCacheConfig) -> bool {
+        // Concurrent misses on the same fresh proof race to insert
+        // the same memo; the loser must not push a duplicate into the
+        // eviction queue (it would corrupt quota accounting).
+        if self.entries.contains(witness.proof()) {
+            return false;
+        }
+        let own_queue_len = self.order.get(owner).map(|q| q.len()).unwrap_or(0);
+        let full = self.entries.len() >= cfg.capacity;
+        // Per-principal quota: evict the same principal's oldest. At
+        // capacity, prefer evicting the requesting principal's own
+        // entries (§2.9), falling back to the heaviest user.
+        let victim = if own_queue_len >= cfg.per_principal_quota || (full && own_queue_len > 0) {
+            Some(owner.clone())
+        } else if full {
+            self.order
+                .iter()
+                .max_by_key(|(_, q)| q.len())
+                .map(|(p, _)| p.clone())
+        } else {
+            None
+        };
+        let evicted = victim.is_some_and(|victim| self.evict_from(&victim));
+        self.order
+            .entry(owner.clone())
+            .or_default()
+            .push_back(Arc::clone(&witness));
+        self.entries.insert(ByProof(witness));
+        evicted
+    }
+
+    /// Drop `owner`'s oldest entry; `false` if it had none.
+    fn evict_from(&mut self, owner: &Principal) -> bool {
+        let Some(queue) = self.order.get_mut(owner) else {
+            return false;
+        };
+        let old = queue.pop_front();
+        if queue.is_empty() {
+            self.order.remove(owner);
+        }
+        old.is_some_and(|old| self.entries.remove(old.proof()))
+    }
 }
 
 /// The guard. Internally synchronized: `check` takes `&self`, so one
@@ -294,22 +382,28 @@ impl Guard {
             None => return Decision::deny(true, DenyReason::NoProof),
         };
 
-        // 1. Structural check (memoized, including the conclusion's
-        //    normalization).
-        let (result, leaves) = self.check_structure(proof, req.subject);
-        let (concl, norm_concl) = match result {
-            Ok(c) => c,
-            // Unsoundness is a property of the proof alone: cacheable
-            // (a proof update invalidates the entry).
-            Err(e) => return Decision::deny(true, DenyReason::Unsound(e)),
+        // 1. What the proof establishes by itself — carried by the
+        //    prover's proofs, memoized for everyone else's.
+        let memoized;
+        let witness = match proof {
+            ProofRef::Checked(witness) => witness,
+            ProofRef::Raw(proof) => match self.checked(proof, req.subject) {
+                Ok(witness) => {
+                    memoized = witness;
+                    &*memoized
+                }
+                // Unsoundness is a property of the proof alone:
+                // cacheable (a proof update invalidates the entry).
+                Err(e) => return Decision::deny(true, DenyReason::Unsound(e)),
+            },
         };
-        if norm_concl != *norm_goal {
+        if witness.normal_conclusion() != norm_goal {
             // Depends only on (proof, goal): cacheable — setgoal
             // invalidates the subregion, proof update the entry.
             return Decision::deny(
                 true,
                 DenyReason::WrongConclusion {
-                    proved: Box::new(concl),
+                    proved: Box::new(witness.conclusion().clone()),
                     goal: Box::new(goal.clone()),
                 },
             );
@@ -318,113 +412,51 @@ impl Guard {
         // 2. Credential matching — never cached (§2.9).
         let label_set = Assumptions::from_iter(req.labels.iter());
         let mut cacheable = true;
-        for leaf in &leaves {
-            if label_set.contains(leaf) {
+        for leaf in witness.leaves() {
+            if label_set.contains_normal(&leaf.normal) {
                 continue;
             }
             // Authority fallback: leaf must be `P says S` with a
             // registered authority for P.
-            if let Formula::Says(p, s) = leaf {
+            if let Formula::Says(p, s) = &leaf.stated {
                 if let Some(answer) = authorities.query(p, s) {
                     self.counters.authority_queries.add(1);
                     cacheable = false; // dynamic state ⇒ uncacheable
                     if answer {
                         continue;
                     }
-                    return Decision::deny(false, DenyReason::AuthorityDenied(leaf.clone()));
+                    return Decision::deny(false, DenyReason::AuthorityDenied(leaf.stated.clone()));
                 }
             }
-            return Decision::deny(false, DenyReason::MissingCredential(leaf.clone()));
+            return Decision::deny(false, DenyReason::MissingCredential(leaf.stated.clone()));
         }
         Decision::allow(cacheable)
     }
 
-    /// Structural proof check with memoization. Soundness of a proof
-    /// never changes, so the (proof, goal-independent) result — the
-    /// conclusion plus its normalization — and the leaf list are
-    /// cached keyed by proof digest.
-    fn check_structure(
-        &self,
-        proof: &Proof,
-        subject: &Principal,
-    ) -> (Result<(Formula, Formula), CheckError>, Vec<Formula>) {
-        let key = Self::digest_proof(proof);
-        if let Some(hit) = self.cache.lock().entries.get(&key) {
+    /// The memoized structural check. Soundness of a proof never
+    /// changes, so the witness — the proof, its conclusion in both
+    /// spellings and its distinct leaves — is kept, found again by the
+    /// proof itself. An unsound proof is not kept: re-checking it costs
+    /// no more than finding it would.
+    #[allow(clippy::result_large_err)]
+    fn checked(&self, proof: &Proof, subject: &Principal) -> Result<Arc<Checked>, CheckError> {
+        if let Some(hit) = self.cache.lock().get(proof) {
             self.counters.cache_hits.add(1);
-            return (hit.result.clone(), hit.leaves.clone());
+            return Ok(hit);
         }
         self.counters.cache_misses.add(1);
-        // Validate rule applications with the proof's own leaves
-        // admitted; credential presence is checked separately. The
-        // lock is *not* held across the check itself — concurrent
-        // checks of the same fresh proof just both do the work and
-        // insert identical entries.
-        let leaves: Vec<Formula> = proof.leaves().into_iter().cloned().collect();
-        let asm = Assumptions::from_iter(leaves.iter());
-        let result = check(proof, &asm).map(|concl| {
-            let norm = normalize(&concl);
-            (concl, norm)
-        });
-        self.insert_cached(
-            key,
-            CachedCheck {
-                result: result.clone(),
-                leaves: leaves.clone(),
-                owner: subject.root().clone(),
-            },
-        );
-        (result, leaves)
-    }
-
-    fn digest_proof(proof: &Proof) -> u64 {
-        let bytes = serde_json::to_vec(proof).unwrap_or_default();
-        let mut h = Sha256::new();
-        h.update(&bytes);
-        let out = h.finalize();
-        u64::from_le_bytes(out[..8].try_into().expect("sha256 is 32 bytes"))
-    }
-
-    fn insert_cached(&self, key: u64, value: CachedCheck) {
-        let owner = value.owner.clone();
-        let mut cache = self.cache.lock();
-        // Concurrent misses on the same fresh proof race to insert
-        // the same memo; the loser must not push a duplicate key into
-        // the eviction queue (it would corrupt quota accounting).
-        if cache.entries.contains_key(&key) {
-            return;
-        }
-        // Per-principal quota: evict the same principal's oldest.
-        let own_queue_len = cache.order.get(&owner).map(|q| q.len()).unwrap_or(0);
-        if own_queue_len >= self.cfg.per_principal_quota {
-            self.evict_from(&mut cache, &owner);
-        } else if cache.entries.len() >= self.cfg.capacity {
-            // Prefer evicting the requesting principal's own entries
-            // (§2.9), falling back to the heaviest user.
-            if own_queue_len > 0 {
-                self.evict_from(&mut cache, &owner);
-            } else if let Some(heaviest) = cache
-                .order
-                .iter()
-                .max_by_key(|(_, q)| q.len())
-                .map(|(p, _)| p.clone())
-            {
-                self.evict_from(&mut cache, &heaviest);
-            }
-        }
-        cache.order.entry(owner).or_default().push_back(key);
-        cache.entries.insert(key, value);
-    }
-
-    fn evict_from(&self, cache: &mut GuardCache, owner: &Principal) {
-        if let Some(queue) = cache.order.get_mut(owner) {
-            if let Some(old) = queue.pop_front() {
-                cache.entries.remove(&old);
-                self.counters.evictions.add(1);
-            }
-            if queue.is_empty() {
-                cache.order.remove(owner);
-            }
-        }
+        // Rule applications are validated with the proof's own leaves
+        // admitted; credential presence is asked separately. The lock
+        // is *not* held across the check itself — concurrent checks of
+        // the same fresh proof just both do the work, and one of the
+        // identical witnesses is kept.
+        let witness = Arc::new(check_own_leaves(proof.clone())?);
+        let evicted = self
+            .cache
+            .lock()
+            .insert(subject.root(), Arc::clone(&witness), &self.cfg);
+        self.counters.evictions.add(u64::from(evicted));
+        Ok(witness)
     }
 
     /// Auto-prove a batch of (goal, credentials) pairs — requests that
@@ -441,7 +473,8 @@ impl Guard {
     /// additionally guarantees nothing from a dead epoch is ever
     /// consulted.) A `cfg` differing from the session's current one
     /// also resets the session, so changed limits always take effect.
-    /// Returns one optional proof per input, in order.
+    /// Returns one optional proof per input, in order — each already
+    /// [`Checked`] and ready to hand back as [`ProofRef::Checked`].
     ///
     /// Concurrency: the session sits behind one mutex held for the
     /// whole batch search, so concurrent auto-proving serializes —
@@ -457,7 +490,7 @@ impl Guard {
         epoch: u64,
         goals: &[BatchGoal<'_>],
         cfg: ProverConfig,
-    ) -> Vec<Option<Proof>> {
+    ) -> Vec<Option<Arc<Checked>>> {
         self.prove_batch_explained(epoch, goals, cfg)
             .into_iter()
             .map(|o| o.proof)
@@ -543,9 +576,7 @@ impl Guard {
     /// Drop all memoized state (it is soft state; correctness is
     /// unaffected, §2.9).
     pub fn flush_cache(&self) {
-        let mut cache = self.cache.lock();
-        cache.entries.clear();
-        cache.order.clear();
+        *self.cache.lock() = GuardCache::default();
     }
 }
 
@@ -581,7 +612,7 @@ mod tests {
             subject,
             operation: op,
             object: obj,
-            proof,
+            proof: proof.map(ProofRef::Raw),
             labels,
         }
     }
@@ -760,6 +791,90 @@ mod tests {
         let d = guard.check(&req2, &goal, &AuthorityRegistry::new());
         assert!(!d.allow);
         assert_eq!(guard.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn proofs_sharing_a_memo_bucket_never_answer_for_each_other() {
+        /// Every key hashes alike: the whole memo is one bucket, and
+        /// only `Eq` on the proof tells its entries apart.
+        #[derive(Default)]
+        struct OneBucket;
+        impl Hasher for OneBucket {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, _: &[u8]) {}
+        }
+        let mut cache: GuardCache<std::hash::BuildHasherDefault<OneBucket>> = GuardCache::default();
+        let cfg = GuardCacheConfig::default();
+        let owner = subject();
+        let stmts: Vec<Formula> = (0..8)
+            .map(|i| parse(&format!("Owner says stmt{i}")).unwrap())
+            .collect();
+        for stmt in &stmts {
+            let witness = check_own_leaves(Proof::assume(stmt.clone())).unwrap();
+            assert!(!cache.insert(&owner, Arc::new(witness), &cfg));
+        }
+        for stmt in &stmts {
+            let hit = cache
+                .get(&Proof::assume(stmt.clone()))
+                .expect("memoized under its own proof");
+            assert_eq!(hit.conclusion(), stmt, "served a bucket-mate's witness");
+        }
+        let stranger = Proof::assume(parse("Owner says other").unwrap());
+        assert!(cache.get(&stranger).is_none(), "a bucket-mate answered");
+    }
+
+    #[test]
+    fn a_checked_proof_skips_the_memo_but_not_credential_matching() {
+        let s = subject();
+        let (op, obj) = req_parts();
+        let reg = AuthorityRegistry::new();
+        let goal = parse("FileServer says ok").unwrap();
+        let labels = vec![
+            parse("Owner speaksfor FileServer").unwrap(),
+            parse("Owner says ok").unwrap(),
+        ];
+        let guard = Guard::new();
+        let batch = [BatchGoal {
+            goal: &goal,
+            credentials: &labels,
+        }];
+        let witness = guard
+            .prove_batch(0, &batch, ProverConfig::default())
+            .remove(0)
+            .expect("provable");
+        let req = |labels| AccessRequest {
+            subject: &s,
+            operation: &op,
+            object: &obj,
+            proof: Some(ProofRef::Checked(&witness)),
+            labels,
+        };
+        let d = guard.check(&req(&labels), &goal, &reg);
+        assert!(d.allow && d.cacheable, "reason: {:?}", d.reason);
+        // The prover's word covers soundness, never possession.
+        let d = guard.check(&req(&labels[..1]), &goal, &reg);
+        assert_eq!(
+            d.reason,
+            Some(DenyReason::MissingCredential(labels[1].clone()))
+        );
+        let other = parse("FileServer says more").unwrap();
+        let d = guard.check(&req(&labels), &other, &reg);
+        assert!(matches!(d.reason, Some(DenyReason::WrongConclusion { .. })));
+        // And the same verdicts as the proof gets the long way round.
+        let raw = AccessRequest {
+            proof: Some(ProofRef::Raw(witness.proof())),
+            ..req(&labels)
+        };
+        assert!(guard.check(&raw, &goal, &reg).allow);
+        let st = guard.stats();
+        assert_eq!(st.checks, 4, "auto-proved requests still count");
+        assert_eq!(
+            (st.cache_hits, st.cache_misses, guard.cache_len()),
+            (0, 1, 1),
+            "only the raw proof went through the memo"
+        );
     }
 
     #[test]

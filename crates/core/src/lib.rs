@@ -53,7 +53,7 @@ pub use decision_cache::{CacheKey, DecisionCache, DecisionCacheConfig, SubjectDi
 pub use error::CoreError;
 pub use goal::{GoalEntry, GoalStore};
 pub use guard::{
-    AccessRequest, Decision, DenyReason, Guard, GuardCacheConfig, GuardStats, ProverStats,
+    AccessRequest, Decision, DenyReason, Guard, GuardCacheConfig, GuardStats, ProofRef, ProverStats,
 };
 pub use label::{Label, LabelHandle, LabelStore};
 pub use proofstore::ProofStore;

@@ -5,6 +5,10 @@
 //! (subject, operation, object) tuple on each guarded invocation. The
 //! kernel interposes on updates so it can invalidate the corresponding
 //! decision-cache entry (§2.8).
+//!
+//! A proof is stored behind an `Arc` and fetched as that `Arc`: the
+//! guard checks it through a borrow, so an installed proof is never
+//! copied on its way to a verdict.
 
 use crate::decision_cache::CacheKey;
 use crate::resource::{OpName, ResourceId};
@@ -92,21 +96,21 @@ impl ProofStore {
         self.proofs.version()
     }
 
-    /// Fetch the stored proof (cloned out of the store, so nothing is
-    /// held while the guard checks it).
+    /// Fetch the stored proof — a reference count, not a copy; no
+    /// store lock is held while the guard checks it.
     pub fn get(
         &self,
         subject: &Principal,
         operation: &OpName,
         object: &ResourceId,
-    ) -> Option<Proof> {
+    ) -> Option<Arc<Proof>> {
         let key = CacheKey {
             subject: subject.clone(),
             operation: operation.clone(),
             object: object.clone(),
         };
         self.proofs
-            .read(|proofs, _| proofs.get(&key).map(|p| (**p).clone()))
+            .read(|proofs, _| proofs.get(&key).map(Arc::clone))
     }
 
     /// Apply `f` to the stored proof for a tuple *without cloning it
@@ -153,7 +157,7 @@ mod tests {
         let obj = ResourceId::file("/x");
         let proof = Proof::assume(parse("A says p").unwrap());
         ps.set_proof(subject.clone(), op.clone(), obj.clone(), proof.clone());
-        assert_eq!(ps.get(&subject, &op, &obj), Some(proof.clone()));
+        assert_eq!(ps.get(&subject, &op, &obj).as_deref(), Some(&proof));
         assert!(ps.clear_proof(&subject, &op, &obj));
         assert!(ps.get(&subject, &op, &obj).is_none());
         assert!(!ps.clear_proof(&subject, &op, &obj));
@@ -170,8 +174,8 @@ mod tests {
         let pb = Proof::assume(parse("B says q").unwrap());
         ps.set_proof(a.clone(), op.clone(), obj.clone(), pa.clone());
         ps.set_proof(b.clone(), op.clone(), obj.clone(), pb.clone());
-        assert_eq!(ps.get(&a, &op, &obj), Some(pa.clone()));
-        assert_eq!(ps.get(&b, &op, &obj), Some(pb.clone()));
+        assert_eq!(ps.get(&a, &op, &obj).as_deref(), Some(&pa));
+        assert_eq!(ps.get(&b, &op, &obj).as_deref(), Some(&pb));
         assert_eq!(ps.len(), 2);
     }
 
@@ -200,7 +204,7 @@ mod tests {
         };
         for _ in 0..10_000 {
             if let Some(got) = ps.get(&subject, &op, &obj) {
-                assert!(got == pa || got == pb, "torn proof read: {got:?}");
+                assert!(*got == pa || *got == pb, "torn proof read: {got:?}");
                 assert!(ps.epoch() >= 1);
             }
         }

@@ -6,10 +6,11 @@
 use super::{Nexus, NexusConfig};
 use crate::error::KernelError;
 use nexus_authzd::{AuthzOutcome, AuthzRequest, AuthzTicket};
-use nexus_core::{AccessRequest, Guard, OpName, ResourceId, SubjectDigest};
-use nexus_nal::{BatchGoal, Formula, Principal, Proof, ProverConfig, Term};
+use nexus_core::{AccessRequest, Guard, OpName, ProofRef, ResourceId, SubjectDigest};
+use nexus_nal::{BatchGoal, Checked, Formula, Principal, Proof, ProverConfig, Term};
 use nexus_obs::{event as audit_event, AuditPath, AuditVerdict, Stage};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 impl Nexus {
@@ -143,7 +144,9 @@ impl Nexus {
                 pid,
                 op: opn.clone(),
                 object: object.clone(),
-                proof: inline_proof.cloned(),
+                // The one copy a supplied proof gets: into the `Arc`
+                // that crosses to the worker.
+                proof: inline_proof.map(|p| Arc::new(p.clone())),
                 external: self.classify_external(pid, &opn, object, inline_proof),
                 label_shape,
                 submitted_at: telemetry_on.then(Instant::now),
@@ -255,7 +258,7 @@ impl Nexus {
             let goal = self
                 .goals
                 .effective_goal(&Self::manager_of(object), object, opn);
-            let mut prepared: Vec<Result<PreparedRequest, KernelError>> = reqs
+            let mut prepared: Vec<Result<PreparedRequest<'_>, KernelError>> = reqs
                 .iter()
                 .map(|r| self.prepare_request(r.pid, opn, object, &goal, r.proof, &cfg))
                 .collect();
@@ -269,7 +272,7 @@ impl Nexus {
                     subject: &p.subject,
                     operation: opn,
                     object,
-                    proof: p.proof.as_ref(),
+                    proof: p.proof.as_ref().map(HeldProof::as_proof_ref),
                     labels: &p.labels,
                 })
                 .collect();
@@ -394,15 +397,15 @@ impl Nexus {
     /// marked for auto-proving by instantiating `goal` for it — the
     /// search itself is deferred to [`Nexus::auto_prove_prepared`] so a
     /// slice's searches share one prover session.
-    fn prepare_request(
+    fn prepare_request<'a>(
         &self,
         pid: u64,
         opn: &OpName,
         object: &ResourceId,
         goal: &Formula,
-        supplied: Option<&Proof>,
+        supplied: Option<&'a Proof>,
         cfg: &NexusConfig,
-    ) -> Result<PreparedRequest, KernelError> {
+    ) -> Result<PreparedRequest<'a>, KernelError> {
         let (subject, digest) = self.with_hot(pid, |h| (h.principal.clone(), h.digest))?;
         // The subject's credentials: its labelstore plus the request
         // itself, which arrived over the attested syscall channel and
@@ -416,8 +419,11 @@ impl Nexus {
         labels.push(Formula::pred(&opn.0, vec![]).says(subject.clone()));
         labels.push(Formula::pred(&opn.0, vec![Term::sym(object.0.clone())]).says(subject.clone()));
         let proof = match supplied {
-            Some(p) => Some(p.clone()),
-            None => self.proofs.get(&subject, opn, object),
+            Some(p) => Some(HeldProof::Supplied(p)),
+            None => self
+                .proofs
+                .get(&subject, opn, object)
+                .map(HeldProof::Stored),
         };
         // Auto-proving makes the outcome depend on the subject's label
         // set. Cached allows on that path stay valid because labels
@@ -451,7 +457,7 @@ impl Nexus {
     /// never outlive the credential movement that falsified it. Goals
     /// were instantiated per request (`$subject` differs); ground goals
     /// instantiate to themselves and share one frontier group.
-    fn auto_prove_prepared(&self, prepared: &mut [Result<PreparedRequest, KernelError>]) {
+    fn auto_prove_prepared(&self, prepared: &mut [Result<PreparedRequest<'_>, KernelError>]) {
         let goals: Vec<BatchGoal<'_>> = prepared
             .iter()
             .flatten()
@@ -473,7 +479,7 @@ impl Nexus {
             .flatten()
             .filter(|p| p.auto_goal.is_some());
         for (p, out) in needy.zip(outcomes) {
-            p.proof = out.proof;
+            p.proof = out.proof.map(HeldProof::Proved);
             p.refuted = out.refuted;
         }
     }
@@ -543,14 +549,38 @@ pub(super) struct EvalRequest<'a> {
     pub(super) submitted_at: Option<Instant>,
 }
 
+/// The proof a prepared request is checked with, held the way it
+/// arrived: nothing proof-sized is copied between the caller, the
+/// proof store, the prover and the guard.
+enum HeldProof<'a> {
+    /// Supplied with the request: borrowed from the caller, or from the
+    /// `Arc` that crossed to the worker.
+    Supplied(&'a Proof),
+    /// Installed ahead of time; shared with the proof store.
+    Stored(Arc<Proof>),
+    /// Constructed by the prover, which established its soundness when
+    /// it assembled it; shared with the prover's memo.
+    Proved(Arc<Checked>),
+}
+
+impl HeldProof<'_> {
+    fn as_proof_ref(&self) -> ProofRef<'_> {
+        match self {
+            HeldProof::Supplied(proof) => ProofRef::Raw(proof),
+            HeldProof::Stored(proof) => ProofRef::Raw(proof),
+            HeldProof::Proved(witness) => ProofRef::Checked(witness),
+        }
+    }
+}
+
 /// Everything request-specific the guard consumes, assembled once per
 /// request per evaluation attempt.
-struct PreparedRequest {
+struct PreparedRequest<'a> {
     subject: Principal,
     /// `subject` as the decision cache fills for it.
     digest: SubjectDigest,
     labels: Vec<Formula>,
-    proof: Option<Proof>,
+    proof: Option<HeldProof<'a>>,
     /// The goal instantiated for this request, present exactly when it
     /// arrived without a supplied or stored proof and auto-proving is
     /// on — `proof` is then whatever the prover constructed.

@@ -137,7 +137,7 @@ impl BatchExecutor for NexusExecutor {
                     .iter()
                     .map(|r| EvalRequest {
                         pid: r.pid,
-                        proof: r.proof.as_ref(),
+                        proof: r.proof.as_deref(),
                         submitted_at: r.submitted_at,
                     })
                     .collect();

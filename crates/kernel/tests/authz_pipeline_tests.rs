@@ -477,3 +477,126 @@ fn heavier_tenants_drain_first_under_backlog() {
     let stats = nexus.authz_stats().unwrap();
     assert_eq!(stats.completed, stats.submitted);
 }
+
+#[test]
+fn stored_supplied_and_auto_proved_requests_mix_in_one_window() {
+    // One window of tickets on one (op, object), mixing the three ways
+    // a proof reaches the guard — installed ahead of time, supplied
+    // with the request, constructed by the prover — each in a passing
+    // and a failing flavour. Verdicts and refutation witnesses are the
+    // ones the evaluator gave before proofs travelled as `Arc`s
+    // (captured at PR 17's tree), on the pipeline and inline alike.
+    use nexus_kernel::AuditVerdict;
+    use nexus_nal::{normalize, prove, ProverConfig};
+
+    let nexus = booted();
+    let owner = nexus.spawn("owner", b"img");
+    let object = ResourceId::new("test", "mixed");
+    nexus.grant_ownership(owner, &object).unwrap();
+    let goal = parse("Owner says g and Owner says h").unwrap();
+    nexus
+        .sys_setgoal(owner, object.clone(), "op", goal.clone())
+        .unwrap();
+    let g_half = [("Owner", "Gate speaksfor Owner"), ("Gate", "g")];
+    let h_half = [("Gate", "h"), ("Owner", "Gate says h")];
+    let spawn = |name: &str, whole: bool| {
+        let pid = nexus.spawn(name, b"img");
+        let labels = g_half.iter().chain(h_half.iter().filter(|_| whole));
+        for (speaker, stmt) in labels {
+            nexus
+                .kernel_label(pid, Principal::name(*speaker), parse(stmt).unwrap())
+                .unwrap();
+        }
+        pid
+    };
+    let creds: Vec<Formula> = g_half
+        .iter()
+        .chain(&h_half)
+        .map(|(speaker, stmt)| parse(stmt).unwrap().says(Principal::name(*speaker)))
+        .collect();
+    let sound = prove(&goal, &creds, ProverConfig::default()).expect("provable");
+    let off_goal = Proof::assume(creds[1].clone());
+    let unsound = Proof::AndElimL(Box::new(off_goal.clone()));
+
+    // (subject, supplied proof, expected allow, expected witness)
+    let stored_ok = spawn("stored-ok", true);
+    let stored_short = spawn("stored-short", false);
+    for pid in [stored_ok, stored_short] {
+        nexus
+            .sys_set_proof(pid, "op", &object, sound.clone())
+            .unwrap();
+    }
+    let h_refuted = Some(normalize(&parse("Owner says h").unwrap()));
+    let cases: Vec<(u64, Option<&Proof>, bool, Option<Formula>)> = vec![
+        (stored_ok, None, true, None),
+        (stored_short, None, false, None),
+        (spawn("supplied-ok", true), Some(&sound), true, None),
+        (spawn("supplied-short", false), Some(&sound), false, None),
+        (
+            spawn("supplied-off-goal", true),
+            Some(&off_goal),
+            false,
+            None,
+        ),
+        (spawn("supplied-unsound", true), Some(&unsound), false, None),
+        (spawn("auto-ok", true), None, true, None),
+        (spawn("auto-short", false), None, false, h_refuted),
+    ];
+    let journaled = |pid: u64, path: nexus_kernel::AuditPath| {
+        nexus
+            .audit_recent(usize::MAX)
+            .into_iter()
+            .rev()
+            .find(|e| e.pid == pid && e.path == path)
+            .expect("every evaluation is journaled")
+    };
+    let witness_of = |refuted: Option<String>| refuted.map(|t| normalize(&parse(&t).unwrap()));
+
+    let checks = nexus.guard_stats().checks;
+    nexus.start_authz_pipeline(GuardPoolConfig {
+        workers: 1,
+        max_batch: 64,
+        ..Default::default()
+    });
+    let tickets: Vec<_> = cases
+        .iter()
+        .map(|(pid, proof, ..)| {
+            nexus
+                .authorize_async_with(*pid, "op", &object, *proof)
+                .unwrap()
+        })
+        .collect();
+    for ((pid, _, allow, refuted), ticket) in cases.iter().zip(&tickets) {
+        assert_eq!(
+            ticket.wait().is_allow(),
+            *allow,
+            "pid {pid} on the pipeline"
+        );
+        let ev = journaled(*pid, nexus_kernel::AuditPath::Pipeline);
+        let verdict = if *allow {
+            AuditVerdict::Allow
+        } else {
+            AuditVerdict::Deny
+        };
+        assert_eq!(ev.verdict, verdict);
+        assert_eq!(&witness_of(ev.refuted), refuted, "pid {pid}");
+    }
+    nexus.stop_authz_pipeline();
+    assert_eq!(
+        nexus.guard_stats().checks,
+        checks + cases.len() as u64,
+        "every request reached the guard once, auto-proved ones included"
+    );
+
+    // The same requests on the caller's thread. The allows (and the
+    // proof-only denials) may now be decision-cache hits; the verdicts
+    // cannot differ.
+    for (pid, proof, allow, _) in &cases {
+        let inline = nexus.authorize_with(*pid, "op", &object, *proof).unwrap();
+        assert_eq!(inline, *allow, "pid {pid} inline");
+    }
+    // The repeated denial is answered by the memoized refutation of
+    // the root, so the goal itself is the witness.
+    let ev = journaled(cases[7].0, nexus_kernel::AuditPath::Inline);
+    assert_eq!(witness_of(ev.refuted), Some(normalize(&goal)));
+}

@@ -8,6 +8,24 @@
 //! Constructivity: there is no rule that eliminates double negation or
 //! asserts excluded middle. `Not(p)` and `Implies(p, False)` are
 //! identified by normalization, so either spelling works in premises.
+//!
+//! ## Checked once, asked per request
+//!
+//! The checker is syntax-directed: a node's conclusion is a function
+//! of its subtree, and the assumption set is consulted in exactly one
+//! place, for membership, at the `Proof::Assume` arm of `chk`. Hence
+//! the lemma everything downstream leans on:
+//!
+//! > `check(p, A)` succeeds ⇔ `p` is sound over its own leaves ∧ every
+//! > leaf of `p` ∈ `A` — with the same conclusion either way.
+//!
+//! The first conjunct never changes, so it is established once, by
+//! [`check_own_leaves`], and carried as a [`Checked`] witness: the
+//! proof, its conclusion (also in normal form) and its *distinct*
+//! leaves. The second is the only thing left to ask per request —
+//! [`Checked::first_missing`] over those leaves. The prover's memo, the
+//! guard's §2.9 memo and the kernel between them all pass the witness
+//! around behind an `Arc` instead of re-deriving (or copying) it.
 
 use crate::error::CheckError;
 use crate::formula::Formula;
@@ -82,7 +100,13 @@ impl Assumptions {
 
     /// True if `f` (modulo ¬-normalization) is an admitted leaf.
     pub fn contains(&self, f: &Formula) -> bool {
-        self.normalized.contains(&normalize(f))
+        self.contains_normal(&normalize(f))
+    }
+
+    /// [`Assumptions::contains`] for a formula already in normal form
+    /// (a [`Leaf::normal`]): the probe without the rewrite.
+    pub fn contains_normal(&self, normal: &Formula) -> bool {
+        self.normalized.contains(normal)
     }
 
     /// Number of admitted statements.
@@ -103,11 +127,144 @@ impl Assumptions {
 // deliberate trade.
 #[allow(clippy::result_large_err)]
 pub fn check(proof: &Proof, assumptions: &Assumptions) -> Result<Formula, CheckError> {
+    bounded(proof, Some(assumptions))
+}
+
+/// One distinct credential leaf of a [`Checked`] proof.
+#[derive(Debug)]
+pub struct Leaf {
+    /// The leaf as the proof spelled it — what an authority is asked.
+    pub stated: Formula,
+    /// Its normal form — what a label set is probed with.
+    pub normal: Formula,
+}
+
+/// A proof the checker has accepted over its own leaves, with what
+/// that run established: the conclusion, its normal form, and the
+/// distinct leaves (first spelling of each normal form, in proof
+/// order). By the module's lemma, whoever holds every leaf holds a
+/// proof [`check`] accepts — so a `Checked` is checked once and then
+/// only *asked* ([`Checked::first_missing`]) per request.
+///
+/// It is read-only and cannot be forged: the fields are private, it is
+/// neither `Default` nor deserializable, and [`check_own_leaves`] is
+/// the only function that builds one.
+///
+/// ```
+/// use nexus_nal::check::{check_own_leaves, Assumptions};
+/// use nexus_nal::{parse, Proof};
+///
+/// let leaf = parse("A says p").unwrap();
+/// let witness = check_own_leaves(Proof::assume(leaf.clone())).unwrap();
+/// assert_eq!(witness.conclusion(), &leaf);
+/// let holder = Assumptions::from_iter([&leaf]);
+/// assert!(witness.first_missing(|l| holder.contains_normal(l)).is_none());
+/// let missing = witness.first_missing(|_| false).unwrap();
+/// assert_eq!(missing.stated, leaf);
+/// ```
+///
+/// Not spelled out,
+///
+/// ```compile_fail
+/// use nexus_nal::check::Checked;
+/// use nexus_nal::{Formula, Proof};
+/// let forged = Checked {
+///     proof: Proof::TrueIntro,
+///     conclusion: Formula::False,
+///     normal_conclusion: Formula::False,
+///     leaves: Vec::new(),
+/// };
+/// ```
+///
+/// not conjured,
+///
+/// ```compile_fail
+/// let forged = nexus_nal::check::Checked::default();
+/// ```
+///
+/// and not read back from bytes (a [`Proof`] in the same position
+/// compiles — see `proof_serde_roundtrip`):
+///
+/// ```compile_fail
+/// let forged: nexus_nal::check::Checked = serde_json::from_str("{}").unwrap();
+/// ```
+#[derive(Debug)]
+pub struct Checked {
+    proof: Proof,
+    conclusion: Formula,
+    normal_conclusion: Formula,
+    leaves: Vec<Leaf>,
+}
+
+impl Checked {
+    /// The proof this witnesses.
+    pub fn proof(&self) -> &Proof {
+        &self.proof
+    }
+
+    /// What the proof establishes.
+    pub fn conclusion(&self) -> &Formula {
+        &self.conclusion
+    }
+
+    /// [`Checked::conclusion`] in normal form — what a goal's normal
+    /// form is compared with.
+    pub fn normal_conclusion(&self) -> &Formula {
+        &self.normal_conclusion
+    }
+
+    /// The proof's distinct leaves.
+    pub fn leaves(&self) -> &[Leaf] {
+        &self.leaves
+    }
+
+    /// The per-request half of the lemma: the first leaf whose normal
+    /// form `held` does not admit ([`Assumptions::contains_normal`], or
+    /// whatever else the caller keeps normalised credentials in);
+    /// `None` when every leaf is held — exactly when [`check`] accepts
+    /// the proof against those credentials.
+    pub fn first_missing(&self, held: impl Fn(&Formula) -> bool) -> Option<&Leaf> {
+        self.leaves.iter().find(|leaf| !held(&leaf.normal))
+    }
+}
+
+/// Check `proof` over its own leaves — every `Assume` admitted, every
+/// rule application and side condition validated — and keep what that
+/// established as a [`Checked`] witness. The only constructor of one.
+#[allow(clippy::result_large_err)]
+pub fn check_own_leaves(proof: Proof) -> Result<Checked, CheckError> {
+    let conclusion = bounded(&proof, None)?;
+    let mut seen = HashSet::new();
+    let mut leaves = Vec::new();
+    for stated in proof.leaves() {
+        let normal = normalize(stated);
+        if !seen.contains(&normal) {
+            seen.insert(normal.clone());
+            leaves.push(Leaf {
+                stated: stated.clone(),
+                normal,
+            });
+        }
+    }
+    // A witness is kept for as long as a memo keeps it: no spare capacity.
+    leaves.shrink_to_fit();
+    Ok(Checked {
+        normal_conclusion: normalize(&conclusion),
+        conclusion,
+        leaves,
+        proof,
+    })
+}
+
+/// [`chk`] behind the size bound. `asm` of `None` admits every leaf:
+/// the proof is checked over its own.
+#[allow(clippy::result_large_err)]
+fn bounded(proof: &Proof, asm: Option<&Assumptions>) -> Result<Formula, CheckError> {
     let n = proof.size();
     if n > MAX_PROOF_NODES {
         return Err(CheckError::TooLarge(n));
     }
-    chk(proof, assumptions, &mut Vec::new())
+    chk(proof, asm, &mut Vec::new())
 }
 
 #[allow(clippy::result_large_err)]
@@ -127,11 +284,17 @@ fn mismatch(rule: &'static str, detail: impl Into<String>) -> CheckError {
 }
 
 #[allow(clippy::result_large_err)]
-fn chk(proof: &Proof, asm: &Assumptions, hypos: &mut Vec<Formula>) -> Result<Formula, CheckError> {
+fn chk(
+    proof: &Proof,
+    asm: Option<&Assumptions>,
+    hypos: &mut Vec<Formula>,
+) -> Result<Formula, CheckError> {
     match proof {
+        // The one place the assumption set is consulted, and only for
+        // membership: what the module's lemma rests on.
         Proof::Assume(f) => {
             require_ground(f)?;
-            if asm.contains(f) {
+            if asm.is_none_or(|held| held.contains(f)) {
                 Ok(f.clone())
             } else {
                 Err(CheckError::UnknownAssumption(f.clone()))

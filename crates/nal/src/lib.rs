@@ -20,7 +20,8 @@
 //! * [`Proof`] — explicit derivation trees,
 //! * [`check`](check::check) — a linear-time proof checker (guards run
 //!   this; proof *search* is undecidable and therefore the client's
-//!   job),
+//!   job), and [`Checked`] — the witness that a proof passed it over
+//!   its own leaves, so that only leaf membership is asked again,
 //! * [`search`](search::prove) — a bounded backward-chaining prover that
 //!   clients use to assemble proofs from their credentials; its
 //!   [`ProofSearch`] session form memoizes proved/refuted subgoals so
@@ -73,7 +74,7 @@ pub mod subst;
 pub mod term;
 pub mod worldview;
 
-pub use check::{check, normalize, Assumptions};
+pub use check::{check, check_own_leaves, normalize, Assumptions, Checked, Leaf};
 pub use error::{CheckError, ParseError};
 pub use formula::{CmpOp, Formula};
 pub use parser::{parse, parse_principal, parse_term};

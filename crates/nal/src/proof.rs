@@ -18,7 +18,7 @@ use crate::term::Term;
 use serde::{Deserialize, Serialize};
 
 /// A natural-deduction proof tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Proof {
     /// Leaf: the formula is supplied as a credential (label) or as an
     /// authority-validated statement.

@@ -25,20 +25,41 @@
 //! into every request's final [`Proof`]. Sharing can never forge a
 //! proof: a memoized derivation is reused only after every one of its
 //! credential leaves is re-verified against the *requesting* credential
-//! set, and [`ProofSearch::prove`] still validates the assembled proof
-//! with the checker before returning it. Refutations are scoped to the
-//! exact credential fingerprint that produced them (a different label
-//! set gets a fresh search).
+//! set. Refutations are scoped to the exact credential fingerprint
+//! that produced them (a different label set gets a fresh search).
+//!
+//! A *finished* search is checked once, when it is assembled
+//! ([`check_own_leaves`]), and remembered as an `Arc<`[`Checked`]`>`.
+//! A later request for the same normalised goal costs one pass over
+//! the requester's credentials (normalised once, shared by grouping,
+//! the memo probe and the search), a probe of the witness's distinct
+//! leaves against them, and a refcount: nothing is searched, nothing
+//! is re-checked, nothing proof-sized is copied, and the hand-off
+//! edges a search would walk are not even built. That is sound by the
+//! checker's lemma (see [`mod@crate::check`]): "sound over its own leaves"
+//! was established when the witness was built, "every leaf held" is
+//! what the probe asks. The one `debug_assert!` in this module re-runs
+//! the full checker on every proof a session hands out, so each
+//! debug-profile test run cross-checks the lemma on every splice it
+//! performs; release builds rely on it. Subgoals proved on the way
+//! stay raw proofs: they are copied into the proof under construction
+//! and validated inside it when *that* becomes `Checked`.
+//!
+//! A goal keeps up to [`DERIVATIONS_PER_GOAL`] derivations, because
+//! two credential shapes can prove one ground goal from different
+//! leaves (two tenants of one object): the first derivation whose
+//! leaves the requester holds is served.
 //!
 //! [`prove`] remains the one-shot entry point: it runs a fresh
 //! throwaway session per call.
 
-use crate::check::{normalize, Assumptions};
+use crate::check::{check, check_own_leaves, normalize, Assumptions, Checked};
 use crate::formula::Formula;
 use crate::principal::Principal;
 use crate::proof::Proof;
 use crate::term::Term;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Prover limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,29 +119,61 @@ pub struct BatchGoal<'a> {
 /// "why": the blocking subgoal, not just "no proof".
 #[derive(Debug, Clone)]
 pub struct ProveOutcome {
-    /// The proof, when the bounded search succeeded.
-    pub proof: Option<Proof>,
+    /// The proof, when the bounded search succeeded — already checked
+    /// over its own leaves, every one of which the requester holds,
+    /// and shared with the session memo and the rest of its group.
+    pub proof: Option<Arc<Checked>>,
     /// On failure, the refuted subgoal (always `Some` when `proof` is
     /// `None`; always `None` when it is `Some`).
     pub refuted: Option<Formula>,
 }
 
-/// A memoized derivation, shareable across credential sets: the proof
-/// is spliced into a request only when every recorded leaf is among
-/// the *requesting* credentials, so a hit can never smuggle in a
-/// credential the requester does not hold.
-struct SharedEntry {
-    proof: Proof,
-    /// The proof's credential leaves, normalized.
-    leaves: Vec<Formula>,
+/// Derivations a session keeps per proved goal, oldest out. One is not
+/// enough: credential shapes that prove the same goal from different
+/// leaves would evict each other on every request.
+pub const DERIVATIONS_PER_GOAL: usize = 4;
+
+/// A memoized derivation, shareable across credential sets: it is
+/// reused only when every recorded leaf is among the *requesting*
+/// credentials, so a hit can never smuggle in a credential the
+/// requester does not hold.
+enum Derivation {
+    /// A subgoal proved on the way to something else: copied into the
+    /// proof under construction and validated as part of it. (Boxed:
+    /// most goals keep one derivation, and a `Proof` inline would make
+    /// every slot of every goal's queue a quarter of a kilobyte.)
+    Sub {
+        proof: Box<Proof>,
+        /// The proof's distinct credential leaves, normalized.
+        leaves: Vec<Formula>,
+    },
+    /// A finished search, checked when it was assembled: served by
+    /// reference.
+    Top(Arc<Checked>),
+}
+
+impl Derivation {
+    fn proof(&self) -> &Proof {
+        match self {
+            Derivation::Sub { proof, .. } => proof,
+            Derivation::Top(witness) => witness.proof(),
+        }
+    }
+
+    fn held_by(&self, creds: &Creds<'_>) -> bool {
+        match self {
+            Derivation::Sub { leaves, .. } => leaves.iter().all(|l| creds.holds(l)),
+            Derivation::Top(witness) => witness.first_missing(|l| creds.holds(l)).is_none(),
+        }
+    }
 }
 
 /// The session-owned memo state shared by every search the session
 /// runs.
 #[derive(Default)]
 struct SessionState {
-    /// Proved subgoals keyed by normalized formula.
-    shared: HashMap<Formula, SharedEntry>,
+    /// Proved goals keyed by normalized formula.
+    proved: HashMap<Formula, VecDeque<Derivation>>,
     /// Refuted subgoals, keyed by credential-set fingerprint, then
     /// normalized formula, holding the *largest* remaining depth a
     /// search failed with (failure at depth d implies failure at any
@@ -133,9 +186,71 @@ struct SessionState {
 
 impl SessionState {
     fn clear(&mut self) {
-        self.shared.clear();
+        self.proved.clear();
         self.refuted.clear();
         self.entries = 0;
+    }
+
+    /// The first derivation of `ng` whose leaves `creds` holds.
+    fn recall(&self, ng: &Formula, creds: &Creds<'_>) -> Option<&Derivation> {
+        self.proved.get(ng)?.iter().find(|d| d.held_by(creds))
+    }
+
+    /// The first *finished* derivation of `ng` whose leaves `creds`
+    /// holds, to be served as is.
+    fn witness(&self, ng: &Formula, creds: &Creds<'_>) -> Option<Arc<Checked>> {
+        self.proved.get(ng)?.iter().find_map(|d| match d {
+            Derivation::Top(witness) if d.held_by(creds) => Some(Arc::clone(witness)),
+            _ => None,
+        })
+    }
+
+    fn remember(&mut self, ng: Formula, derivation: Derivation) {
+        let kept = self.proved.entry(ng).or_default();
+        if kept.len() == DERIVATIONS_PER_GOAL {
+            kept.pop_front();
+        } else {
+            self.entries += 1;
+        }
+        kept.push_back(derivation);
+    }
+}
+
+/// A request's credentials, normalized once and shared by batch
+/// grouping, the memo probe and the search.
+struct Creds<'a> {
+    /// As the requester stated them: what delegation edges are read
+    /// from.
+    stated: &'a [Formula],
+    /// Their normal forms, sorted, duplicates dropped.
+    normal: Vec<Formula>,
+    /// Beside each normal form, the first credential stated with it:
+    /// the spelling a proof assumes.
+    spelled: Vec<&'a Formula>,
+}
+
+impl<'a> Creds<'a> {
+    fn new(stated: &'a [Formula]) -> Self {
+        let mut pairs: Vec<(Formula, &Formula)> =
+            stated.iter().map(|c| (normalize(c), c)).collect();
+        // Stable, so equal normal forms stay in credential order.
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        pairs.dedup_by(|later, first| later.0 == first.0);
+        let (normal, spelled) = pairs.into_iter().unzip();
+        Creds {
+            stated,
+            normal,
+            spelled,
+        }
+    }
+
+    /// The credential whose normal form is `ng`, as stated.
+    fn find(&self, ng: &Formula) -> Option<&'a Formula> {
+        self.normal.binary_search(ng).ok().map(|i| self.spelled[i])
+    }
+
+    fn holds(&self, ng: &Formula) -> bool {
+        self.normal.binary_search(ng).is_ok()
     }
 }
 
@@ -197,11 +312,8 @@ impl ProofSearch {
     /// mean the goal is underivable. Anything returned passes
     /// [`crate::check`](fn@crate::check::check) against `credentials`.
     pub fn prove(&mut self, goal: &Formula, credentials: &[Formula]) -> Option<Proof> {
-        let mut norm: Vec<Formula> = credentials.iter().map(normalize).collect();
-        norm.sort_unstable();
-        norm.dedup();
-        let fp = fingerprint_normalized(&norm);
-        self.prove_keyed_explained(goal, credentials, fp).proof
+        let outcome = self.prove_normalized(goal, &normalize(goal), &Creds::new(credentials));
+        outcome.proof.map(|witness| witness.proof().clone())
     }
 
     /// Prove a whole batch, sharing the search frontier: members are
@@ -213,8 +325,9 @@ impl ProofSearch {
     /// in request-specific utterances share the delegation-chain
     /// derivations underneath.
     ///
-    /// Returns one entry per input, in order.
-    pub fn prove_batch(&mut self, goals: &[BatchGoal<'_>]) -> Vec<Option<Proof>> {
+    /// Returns one entry per input, in order; the members of a group
+    /// share one [`Checked`] proof.
+    pub fn prove_batch(&mut self, goals: &[BatchGoal<'_>]) -> Vec<Option<Arc<Checked>>> {
         self.prove_batch_explained(goals)
             .into_iter()
             .map(|o| o.proof)
@@ -224,29 +337,30 @@ impl ProofSearch {
     /// [`ProofSearch::prove_batch`], with each failure explained by
     /// its refutation witness (see [`ProveOutcome`]).
     pub fn prove_batch_explained(&mut self, goals: &[BatchGoal<'_>]) -> Vec<ProveOutcome> {
+        let normalized: Vec<(Formula, Creds<'_>)> = goals
+            .iter()
+            .map(|g| (normalize(g.goal), Creds::new(g.credentials)))
+            .collect();
         // Grouping compares the actual normalized credential lists —
         // never just their hashes — so a fingerprint collision cannot
-        // hand one request another's proof.
-        let mut groups: BTreeMap<(Formula, Vec<Formula>), Vec<usize>> = BTreeMap::new();
-        for (i, g) in goals.iter().enumerate() {
-            let mut norm: Vec<Formula> = g.credentials.iter().map(normalize).collect();
-            norm.sort_unstable();
-            norm.dedup();
-            groups.entry((normalize(g.goal), norm)).or_default().push(i);
-        }
+        // hand one request another's proof. (A stable sort: a group's
+        // members stay in input order, and its first one leads.)
+        let key = |i: usize| (&normalized[i].0, &normalized[i].1.normal);
+        let mut order: Vec<usize> = (0..goals.len()).collect();
+        order.sort_by(|&a, &b| key(a).cmp(&key(b)));
         let mut out: Vec<Option<ProveOutcome>> = vec![None; goals.len()];
-        self.session.stats.batch_groups += groups.len() as u64;
-        for ((_, norm_creds), members) in groups {
-            let fp = fingerprint_normalized(&norm_creds);
+        for members in order.chunk_by(|&a, &b| key(a) == key(b)) {
+            self.session.stats.batch_groups += 1;
             let lead = members[0];
-            let outcome = self.prove_keyed_explained(goals[lead].goal, goals[lead].credentials, fp);
+            let (ng, creds) = &normalized[lead];
+            let outcome = self.prove_normalized(goals[lead].goal, ng, creds);
             if outcome.proof.is_some() {
                 // Counted only when something was actually spliced: a
                 // failed group search shares the *refutation*, not a
                 // proof.
                 self.session.stats.batch_shared += (members.len() - 1) as u64;
             }
-            for &i in &members {
+            for &i in members {
                 out[i] = Some(outcome.clone());
             }
         }
@@ -271,28 +385,50 @@ impl ProofSearch {
         self.session.clear();
     }
 
-    fn prove_keyed_explained(
+    /// Prove `goal` (`ng` normalized) for the holder of `creds`: from
+    /// the memo when a finished search for it rests only on leaves the
+    /// requester holds, by searching otherwise.
+    fn prove_normalized(
         &mut self,
         goal: &Formula,
-        credentials: &[Formula],
-        fp: u128,
+        ng: &Formula,
+        creds: &Creds<'_>,
     ) -> ProveOutcome {
-        let norm_credentials: Vec<(Formula, Formula)> = credentials
-            .iter()
-            .map(|c| (normalize(c), c.clone()))
-            .collect();
-        let norm_set: HashSet<Formula> = norm_credentials.iter().map(|(n, _)| n.clone()).collect();
+        let outcome = match self.session.witness(ng, creds) {
+            Some(witness) => {
+                self.session.stats.memo_hits += 1;
+                ProveOutcome {
+                    proof: Some(witness),
+                    refuted: None,
+                }
+            }
+            None => self.search(goal, ng, creds),
+        };
+        // The lemma, cross-checked wherever debug assertions are on:
+        // whatever leaves here — served or freshly assembled — is a
+        // proof of the goal the full checker accepts against the
+        // requester's own credentials.
+        debug_assert!(
+            outcome.proof.as_deref().is_none_or(|witness| matches!(
+                check(witness.proof(), &Assumptions::from_iter(creds.stated)),
+                Ok(concl) if normalize(&concl) == *ng
+            )),
+            "a proof left the session that `check` rejects for its requester"
+        );
+        outcome
+    }
+
+    fn search(&mut self, goal: &Formula, ng: &Formula, creds: &Creds<'_>) -> ProveOutcome {
         let mut s = Search {
-            credentials,
-            norm_credentials,
-            norm_set,
-            fp,
+            creds,
+            fp: fingerprint_normalized(&creds.normal),
             cfg: self.cfg,
             subgoals: 0,
             budget_exhausted: false,
             hypotheses: Vec::new(),
             witness: None,
-            handoff_edges: compute_handoff_edges(credentials),
+            root_memoizable: false,
+            handoff_edges: compute_handoff_edges(creds.stated),
             session: &mut self.session,
         };
         let proof = s.solve(goal, self.cfg.max_depth);
@@ -300,18 +436,33 @@ impl ProofSearch {
         // denial reports; a budget-starved failure that refuted
         // nothing falls back to the goal itself.
         let witness = s.witness.take().map(|(f, _)| f);
+        let root_memoizable = s.root_memoizable;
         // Never hand back a proof that the checker would reject —
-        // memoized splices included.
-        let proof = proof.filter(|p| {
-            let asm = Assumptions::from_iter(credentials.iter());
-            matches!(crate::check::check(p, &asm), Ok(c) if normalize(&c) == normalize(goal))
-        });
-        let refuted = if proof.is_some() {
-            None
-        } else {
-            Some(witness.unwrap_or_else(|| normalize(goal)))
-        };
-        ProveOutcome { proof, refuted }
+        // memoized splices included: the assembled proof is checked
+        // over its own leaves, here and never again, and must conclude
+        // the goal from leaves the requester holds.
+        let proof = proof
+            .and_then(|p| check_own_leaves(p).ok())
+            .filter(|w| {
+                w.normal_conclusion() == ng && w.first_missing(|l| creds.holds(l)).is_none()
+            })
+            .map(Arc::new);
+        match proof {
+            Some(witness) => {
+                if root_memoizable && self.session.entries < self.cfg.max_memo {
+                    self.session
+                        .remember(ng.clone(), Derivation::Top(Arc::clone(&witness)));
+                }
+                ProveOutcome {
+                    proof: Some(witness),
+                    refuted: None,
+                }
+            }
+            None => ProveOutcome {
+                proof: None,
+                refuted: Some(witness.unwrap_or_else(|| ng.clone())),
+            },
+        }
     }
 }
 
@@ -348,12 +499,7 @@ fn fingerprint_normalized(norm: &[Formula]) -> u128 {
 }
 
 struct Search<'a> {
-    credentials: &'a [Formula],
-    /// (normalized, original) credential pairs, normalized once per
-    /// search instead of once per subgoal probe.
-    norm_credentials: Vec<(Formula, Formula)>,
-    /// The normalized credentials as a set (memo leaf verification).
-    norm_set: HashSet<Formula>,
+    creds: &'a Creds<'a>,
     /// Fingerprint of the credential set (scopes refutation memos).
     fp: u128,
     cfg: ProverConfig,
@@ -367,6 +513,10 @@ struct Search<'a> {
     /// remaining depth — i.e. deepest in the recursion, closest to the
     /// missing credential. Surfaced as the denial explanation.
     witness: Option<(Formula, usize)>,
+    /// Whether the root goal is one the memo keeps. The root's own
+    /// derivation is not recorded as a raw subgoal: the session
+    /// remembers it once it is [`Checked`].
+    root_memoizable: bool,
     /// Delegation edges derivable by the handoff rule from
     /// credentials of the form `S says (A speaksfor B)` where S is B
     /// or an ancestor of B: (from, to, scope, proof).
@@ -497,10 +647,7 @@ impl<'a> Search<'a> {
     }
 
     fn credential_matches(&self, ng: &Formula) -> Option<Proof> {
-        self.norm_credentials
-            .iter()
-            .find(|(n, _)| n == ng)
-            .map(|(_, c)| Proof::assume(c.clone()))
+        self.creds.find(ng).map(|c| Proof::assume(c.clone()))
     }
 
     fn hypothesis_matches(&self, ng: &Formula) -> Option<Proof> {
@@ -527,6 +674,8 @@ impl<'a> Search<'a> {
         if !self.budget() || !goal.vars().is_empty() {
             return None;
         }
+        // The first subgoal a search counts is its root.
+        let root = self.subgoals == 1;
         let ng = normalize(goal);
         if let Some(p) = self.credential_matches(&ng) {
             return Some(p);
@@ -539,14 +688,16 @@ impl<'a> Search<'a> {
         // that lean on a hypothesis some other request never
         // introduced.
         let memoizable = self.hypotheses.is_empty() && Self::memo_worthy(&ng);
+        if root {
+            self.root_memoizable = memoizable;
+        }
         if memoizable {
-            if let Some(entry) = self.session.shared.get(&ng) {
-                // Splice only if the requester holds every leaf the
-                // memoized derivation rests on.
-                if entry.leaves.iter().all(|l| self.norm_set.contains(l)) {
-                    self.session.stats.memo_hits += 1;
-                    return Some(entry.proof.clone());
-                }
+            // Splice only a derivation every leaf of which the
+            // requester holds.
+            if let Some(derivation) = self.session.recall(&ng, self.creds) {
+                let spliced = derivation.proof().clone();
+                self.session.stats.memo_hits += 1;
+                return Some(spliced);
             }
             if let Some(&failed_depth) = self.session.refuted.get(&self.fp).and_then(|m| m.get(&ng))
             {
@@ -566,22 +717,13 @@ impl<'a> Search<'a> {
         let result = self.solve_inner(goal, depth);
         if memoizable && self.session.entries < self.cfg.max_memo {
             match &result {
+                Some(_) if root => {}
                 Some(p) => {
-                    let leaves: Vec<Formula> = p.leaves().into_iter().map(normalize).collect();
-                    if self
-                        .session
-                        .shared
-                        .insert(
-                            ng,
-                            SharedEntry {
-                                proof: p.clone(),
-                                leaves,
-                            },
-                        )
-                        .is_none()
-                    {
-                        self.session.entries += 1;
-                    }
+                    let mut leaves: Vec<Formula> = p.leaves().into_iter().map(normalize).collect();
+                    leaves.sort_unstable();
+                    leaves.dedup();
+                    let proof = Box::new(p.clone());
+                    self.session.remember(ng, Derivation::Sub { proof, leaves });
                 }
                 // Budget-starved failures are artifacts of *this*
                 // search, not refutations; never memoize them.
@@ -642,9 +784,7 @@ impl<'a> Search<'a> {
             Formula::Cmp(op, x, y) => match (x, y) {
                 (Term::Int(_), Term::Int(_)) | (Term::Str(_), Term::Str(_)) => {
                     let proof = Proof::CmpEval(*op, x.clone(), y.clone());
-                    crate::check::check(&proof, &Assumptions::new())
-                        .ok()
-                        .map(|_| proof)
+                    check(&proof, &Assumptions::new()).ok().map(|_| proof)
                 }
                 _ => None,
             },
@@ -660,7 +800,8 @@ impl<'a> Search<'a> {
         // Delegation: a credential Q says s with a speaksfor path Q → p.
         let ns = normalize(s);
         let speakers: Vec<(Principal, Formula)> = self
-            .credentials
+            .creds
+            .stated
             .iter()
             .filter_map(|c| match c {
                 Formula::Says(q, inner) if normalize(inner) == ns => Some((q.clone(), c.clone())),
@@ -679,7 +820,8 @@ impl<'a> Search<'a> {
         }
         // Distribution: credential p says (x -> s); prove p says x.
         let candidates: Vec<(Formula, Formula)> = self
-            .credentials
+            .creds
+            .stated
             .iter()
             .filter_map(|c| match c {
                 Formula::Says(q, inner) if q == p => match normalize(inner) {
@@ -730,7 +872,7 @@ impl<'a> Search<'a> {
             if steps > MAX_EXPANSIONS {
                 return None;
             }
-            for c in self.credentials {
+            for c in self.creds.stated {
                 if let Formula::SpeaksFor {
                     from: a,
                     to: b,
@@ -798,8 +940,8 @@ impl<'a> Search<'a> {
             proof = Proof::SpeaksForTrans(Box::new(proof), Box::new(step));
         }
         // Sanity: conclusion should match the goal.
-        let asm = Assumptions::from_iter(self.credentials.iter());
-        match crate::check::check(&proof, &asm) {
+        let asm = Assumptions::from_iter(self.creds.stated);
+        match check(&proof, &asm) {
             Ok(c) if normalize(&c) == normalize(goal) => Some(proof),
             _ => None,
         }
@@ -1141,6 +1283,89 @@ mod tests {
     }
 
     #[test]
+    fn credential_shapes_sharing_a_goal_do_not_evict_each_other() {
+        // Two tenants of one object: the same ground goal, proved from
+        // different leaves. With one derivation kept per goal they
+        // overwrote each other and every alternating request searched
+        // afresh.
+        let goal = parse("Owner says g0 and Owner says g1").unwrap();
+        let shape = |who: &str| {
+            creds(&[
+                &format!("{who} speaksfor Owner"),
+                &format!("{who} says g0"),
+                &format!("{who} says g1"),
+            ])
+        };
+        let (a, b) = (shape("A"), shape("B"));
+        let mut s = ProofSearch::new(ProverConfig::default());
+        assert!(s.prove(&goal, &a).is_some());
+        assert!(s.prove(&goal, &b).is_some());
+        let searched = s.stats().memo_misses;
+        let hits = s.stats().memo_hits;
+        for round in 0..8 {
+            for (name, held) in [("A", &a), ("B", &b)] {
+                let proof = s.prove(&goal, held).expect("still provable");
+                check(&proof, &Assumptions::from_iter(held.iter()))
+                    .unwrap_or_else(|e| panic!("{name} was served another shape's proof: {e:?}"));
+                assert_eq!(
+                    s.stats().memo_misses,
+                    searched,
+                    "round {round}: shape {name} searched again"
+                );
+            }
+        }
+        assert_eq!(s.stats().memo_hits, hits + 16, "one hit per served request");
+    }
+
+    #[test]
+    fn a_subgoal_asked_for_outright_is_finished_once_and_then_served() {
+        // `B says p` is first proved on the way to a conjunction (a raw
+        // subgoal entry), then requested as a goal of its own: the first
+        // such request splices and checks it, every later one is served
+        // that same witness.
+        let cs = creds(&["A speaksfor B", "A says p", "A says q"]);
+        let both = parse("B says p and B says q").unwrap();
+        let one = parse("B says p").unwrap();
+        let mut s = ProofSearch::new(ProverConfig::default());
+        assert!(s.prove(&both, &cs).is_some());
+        let ask = |s: &mut ProofSearch| {
+            let batch = [BatchGoal {
+                goal: &one,
+                credentials: &cs,
+            }];
+            s.prove_batch(&batch).remove(0).expect("provable")
+        };
+        let first = ask(&mut s);
+        let searched = s.stats().memo_misses;
+        let len = s.memo_len();
+        for _ in 0..3 {
+            assert!(Arc::ptr_eq(&first, &ask(&mut s)), "rebuilt, not served");
+        }
+        assert_eq!(s.stats().memo_misses, searched);
+        assert_eq!(s.memo_len(), len, "serving records nothing");
+    }
+
+    #[test]
+    fn a_goal_keeps_a_bounded_number_of_derivations() {
+        // One more shape than a goal keeps: the oldest derivation goes,
+        // the memo's size stays put, and every verdict is still right.
+        let goal = parse("Owner says g").unwrap();
+        let shapes: Vec<Vec<Formula>> = (0..=DERIVATIONS_PER_GOAL)
+            .map(|i| creds(&[&format!("S{i} speaksfor Owner"), &format!("S{i} says g")]))
+            .collect();
+        let mut s = ProofSearch::new(ProverConfig::default());
+        for held in &shapes[..DERIVATIONS_PER_GOAL] {
+            assert!(s.prove(&goal, held).is_some());
+        }
+        let full = s.memo_len();
+        assert!(s.prove(&goal, &shapes[DERIVATIONS_PER_GOAL]).is_some());
+        assert_eq!(s.memo_len(), full, "oldest out, not one more in");
+        let searched = s.stats().memo_misses;
+        assert!(s.prove(&goal, &shapes[0]).is_some(), "evicted, not refuted");
+        assert!(s.stats().memo_misses > searched, "shape 0 was the oldest");
+    }
+
+    #[test]
     fn prove_batch_shares_identical_groups() {
         let shared: Vec<Formula> = creds(&["A speaksfor B", "A says p"]);
         let g = parse("B says p").unwrap();
@@ -1160,7 +1385,7 @@ mod tests {
         // Every spliced proof checks against the member's credentials.
         let asm = Assumptions::from_iter(shared.iter());
         for p in out.into_iter().flatten() {
-            let c = check(&p, &asm).expect("spliced proof must check");
+            let c = check(p.proof(), &asm).expect("spliced proof must check");
             assert_eq!(normalize(&c), normalize(&g));
         }
     }

@@ -8,8 +8,11 @@
 //! offending seed/case for reproduction, minimized by halve-and-retry
 //! shrinking on the generation depth (see [`check_shrunk`]).
 
-use nexus_nal::check::{check, normalize, Assumptions};
-use nexus_nal::{parse, prove, CmpOp, Formula, Principal, Proof, ProverConfig, Term};
+use nexus_nal::check::{check, check_own_leaves, normalize, Assumptions};
+use nexus_nal::{
+    parse, prove, BatchGoal, CmpOp, Formula, Principal, Proof, ProofSearch, ProverConfig, Term,
+};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 const CASES: u64 = 256;
@@ -172,6 +175,115 @@ impl Gen {
     }
 }
 
+impl Gen {
+    /// A derivation that is sound by construction, with the formula it
+    /// concludes (up to normalization): every rule's premises are
+    /// generated to fit.
+    fn sound_proof(&mut self, depth: u64) -> (Proof, Formula) {
+        let boxed = Box::new;
+        if depth == 0 || self.below(4) == 0 {
+            return match self.below(5) {
+                0 => (Proof::TrueIntro, Formula::True),
+                1 => {
+                    let p = self.principal();
+                    let f = Formula::speaksfor(p.clone(), p.clone());
+                    (Proof::SpeaksForRefl(p), f)
+                }
+                _ => {
+                    let f = self.formula(2);
+                    (Proof::assume(f.clone()), f)
+                }
+            };
+        }
+        match self.below(9) {
+            0 => {
+                let (pa, a) = self.sound_proof(depth - 1);
+                let (pb, b) = self.sound_proof(depth - 1);
+                (Proof::AndIntro(boxed(pa), boxed(pb)), a.and(b))
+            }
+            1 => {
+                let (pa, a) = self.sound_proof(depth - 1);
+                let (pb, _) = self.sound_proof(depth - 1);
+                let pair = Proof::AndIntro(boxed(pa), boxed(pb));
+                (Proof::AndElimL(boxed(pair)), a)
+            }
+            2 => {
+                let (pa, a) = self.sound_proof(depth - 1);
+                let other = self.formula(1);
+                (Proof::OrIntroL(boxed(pa), other.clone()), a.or(other))
+            }
+            3 => {
+                // Modus ponens off an assumed implication; every other
+                // time the implication is assumed as a negation's
+                // normal form, so leaf spellings vary.
+                let (pa, a) = self.sound_proof(depth - 1);
+                let (imp, concl) = if self.below(2) == 0 {
+                    (a.clone().not(), Formula::False)
+                } else {
+                    let b = self.formula(1);
+                    (a.clone().implies(b.clone()), b)
+                };
+                let mp = Proof::ImpliesElim(boxed(Proof::assume(imp)), boxed(pa));
+                (mp, concl)
+            }
+            4 => {
+                let hypo = self.formula(1);
+                let (body, b) = if self.below(2) == 0 {
+                    (Proof::Hypo(hypo.clone()), hypo.clone())
+                } else {
+                    self.sound_proof(depth - 1)
+                };
+                let proof = Proof::ImpliesIntro {
+                    hypo: hypo.clone(),
+                    body: boxed(body),
+                };
+                (proof, hypo.implies(b))
+            }
+            5 => {
+                let (pa, a) = self.sound_proof(depth - 1);
+                let p = self.principal();
+                (Proof::SaysIntro(p.clone(), boxed(pa)), a.says(p))
+            }
+            6 => {
+                let (pa, a) = self.sound_proof(depth - 1);
+                (Proof::DoubleNegIntro(boxed(pa)), a.not().not())
+            }
+            7 => {
+                let (from, to) = (self.principal(), self.principal());
+                let stmt = self.formula(1);
+                let proof = Proof::SpeaksForElim(
+                    boxed(Proof::assume(Formula::speaksfor(from.clone(), to.clone()))),
+                    boxed(Proof::assume(stmt.clone().says(from))),
+                );
+                (proof, stmt.says(to))
+            }
+            _ => {
+                // The same leaf twice: distinct leaves < leaf nodes.
+                let f = self.formula(2);
+                let leaf = || boxed(Proof::assume(f.clone()));
+                (Proof::AndIntro(leaf(), leaf()), f.clone().and(f.clone()))
+            }
+        }
+    }
+
+    /// Break a proof in one of the ways a forger might.
+    fn sabotage(&mut self, proof: Proof) -> Proof {
+        match self.below(3) {
+            // A rule applied to a premise of the wrong shape.
+            0 => Proof::Handoff(Box::new(proof)),
+            // A hypothesis nothing discharges.
+            1 => Proof::AndIntro(Box::new(proof), Box::new(Proof::Hypo(self.formula(1)))),
+            // A modus ponens whose argument does not fit.
+            _ => Proof::ImpliesElim(
+                Box::new(Proof::assume(
+                    Formula::pred("zz", vec![]).implies(Formula::True),
+                )),
+                Box::new(proof),
+            ),
+        }
+    }
+}
+
 /// Minimal shrinking for the hand-rolled generator (ROADMAP item):
 /// when a property fails at the full generation depth, retry the same
 /// seed at halved depths (`d/2`, `d/4`, …) and report the *smallest*
@@ -248,6 +360,121 @@ fn prover_is_sound() {
             }
             Ok(())
         });
+    }
+}
+
+/// The lemma `Checked` rests on: `check(p, A)` succeeds exactly when
+/// `p` is sound over its own leaves and every leaf is in `A`, with the
+/// same conclusion — for sound and sabotaged proofs, against the
+/// proof's own leaves (in either spelling), all but one of them, and
+/// unrelated sets.
+#[test]
+fn check_is_own_leaf_soundness_plus_leaf_membership() {
+    let (accepted, rejected) = (Cell::new(0), Cell::new(0));
+    for case in 0..CASES {
+        check_shrunk(case ^ 0x6666, 4, |seed, depth| {
+            let mut g = Gen::new(seed);
+            let (mut proof, concl) = g.sound_proof(depth);
+            let sabotaged = g.below(4) == 0;
+            if sabotaged {
+                proof = g.sabotage(proof);
+            }
+            let leaves: Vec<Formula> = proof.leaves().into_iter().cloned().collect();
+            let respelled: Vec<Formula> = leaves.iter().map(normalize).collect();
+            let mut short = leaves.clone();
+            if !short.is_empty() {
+                short.remove(g.below(short.len() as u64) as usize);
+            }
+            let unrelated: Vec<Formula> = (0..g.below(4)).map(|_| g.formula(2)).collect();
+            let witness = check_own_leaves(proof.clone());
+            if sabotaged != witness.is_err() {
+                return Err(format!("sabotaged={sabotaged}, yet {witness:?}"));
+            }
+            if let Ok(w) = &witness {
+                if w.normal_conclusion() != &normalize(&concl)
+                    || w.normal_conclusion() != &normalize(w.conclusion())
+                {
+                    return Err(format!("witness concludes {}", w.conclusion()));
+                }
+                if w.leaves().len() > leaves.len() || w.proof() != &proof {
+                    return Err("witness misreports its proof".into());
+                }
+            }
+            for held in [&leaves, &respelled, &short, &unrelated] {
+                let asm = Assumptions::from_iter(held.iter());
+                let full = check(&proof, &asm);
+                let missing = witness
+                    .as_ref()
+                    .map(|w| w.first_missing(|l| asm.contains_normal(l)));
+                match (&full, &missing) {
+                    (Ok(c), Ok(None)) if Ok(c) == witness.as_ref().map(|w| w.conclusion()) => {}
+                    (Err(_), Ok(Some(leaf))) if !asm.contains(&leaf.stated) => {}
+                    (Err(_), Err(_)) => {}
+                    _ => return Err(format!("check says {full:?}, the witness {missing:?}")),
+                }
+                let tally = if full.is_ok() { &accepted } else { &rejected };
+                tally.set(tally.get() + 1);
+            }
+            Ok(())
+        });
+    }
+    assert!(
+        accepted.get() >= CASES && rejected.get() >= CASES,
+        "both sides of the lemma must be exercised: {accepted:?} accepted, {rejected:?} rejected"
+    );
+}
+
+/// A witness memoised for one credential set is refused for a set
+/// holding all but one of its leaves, and names the missing one: the
+/// 8-conjunct goal over a 10-hop chain whose proof has 88 leaf nodes
+/// and 18 distinct leaves.
+#[test]
+fn memoised_witness_is_refused_one_leaf_short() {
+    let chain = (0..10).map(|k| {
+        let to = if k == 9 {
+            "Owner".to_string()
+        } else {
+            format!("P{}", k + 1)
+        };
+        format!("{to} says (P{k} speaksfor {to})")
+    });
+    let payload = (0..8).map(|k| format!("P0 says g{k}"));
+    let creds: Vec<Formula> = chain.chain(payload).map(|s| parse(&s).unwrap()).collect();
+    let conjuncts: Vec<String> = (0..8).map(|k| format!("Owner says g{k}")).collect();
+    let goal = parse(&conjuncts.join(" and ")).unwrap();
+
+    let mut session = ProofSearch::new(ProverConfig::default());
+    let ask = |session: &mut ProofSearch, held: &[Formula]| {
+        let batch = [BatchGoal {
+            goal: &goal,
+            credentials: held,
+        }];
+        session.prove_batch_explained(&batch).remove(0)
+    };
+    let witness = ask(&mut session, &creds).proof.expect("provable");
+    assert_eq!(witness.proof().leaves().len(), 88);
+    assert_eq!(witness.leaves().len(), 18);
+    let again = ask(&mut session, &creds).proof.expect("memoised");
+    assert!(
+        std::sync::Arc::ptr_eq(&witness, &again),
+        "served, not rebuilt"
+    );
+
+    for (i, dropped) in creds.iter().enumerate() {
+        let mut held = creds.clone();
+        held.remove(i);
+        let asm = Assumptions::from_iter(held.iter());
+        let missing = witness
+            .first_missing(|l| asm.contains_normal(l))
+            .expect("one leaf short");
+        assert_eq!(&missing.stated, dropped, "names the missing leaf");
+        assert!(check(witness.proof(), &asm).is_err());
+        let outcome = ask(&mut session, &held);
+        assert!(
+            outcome.proof.is_none(),
+            "witness served to a requester lacking {dropped}"
+        );
+        assert!(outcome.refuted.is_some());
     }
 }
 
