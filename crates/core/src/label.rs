@@ -57,9 +57,6 @@ pub struct LabelStore {
     /// rebuilt lazily after a mutation, shared by `Arc` so the
     /// evaluation path clones a pointer, not the formula vector.
     formulas_cache: Mutex<Option<Arc<Vec<Formula>>>>,
-    /// Bumped on every label mutation; returned alongside the
-    /// snapshot so consumers can validate after reading.
-    formulas_version: AtomicU64,
 }
 
 /// The per-label contribution to a store's shape: a hash of the
@@ -131,7 +128,6 @@ impl LabelStore {
 
     /// Drop the memoized credential-set snapshot after a mutation.
     fn invalidate_formulas(&mut self) {
-        self.formulas_version.fetch_add(1, Ordering::Release);
         *self.formulas_cache.lock() = None;
     }
 
@@ -179,19 +175,17 @@ impl LabelStore {
     /// All label formulas in the store — what gets handed to the guard
     /// as the credential set.
     pub fn formulas(&self) -> Vec<Formula> {
-        (*self.formulas_snapshot().0).clone()
+        (*self.formulas_snapshot()).clone()
     }
 
-    /// The credential set as a shared, memoized snapshot plus the
-    /// label-mutation version it corresponds to. The first call after
-    /// a mutation rebuilds (and sorts) the vector; subsequent calls
-    /// clone an `Arc`. The evaluation path prepares every request
-    /// through this, so a wide credential set is cloned per *mutation*
-    /// rather than per request.
-    pub fn formulas_snapshot(&self) -> (Arc<Vec<Formula>>, u64) {
-        let version = self.formulas_version.load(Ordering::Acquire);
+    /// The credential set as a shared, memoized snapshot. The first
+    /// call after a mutation rebuilds (and sorts) the vector;
+    /// subsequent calls clone an `Arc`. The evaluation path prepares
+    /// every request through this, so a wide credential set is cloned
+    /// per *mutation* rather than per request.
+    pub fn formulas_snapshot(&self) -> Arc<Vec<Formula>> {
         let mut cache = self.formulas_cache.lock();
-        let arc = match &*cache {
+        match &*cache {
             Some(arc) => Arc::clone(arc),
             None => {
                 let mut v: Vec<(u64, Formula)> =
@@ -201,8 +195,7 @@ impl LabelStore {
                 *cache = Some(Arc::clone(&arc));
                 arc
             }
-        };
-        (arc, version)
+        }
     }
 
     /// The store's *label shape*: an order-insensitive fingerprint of
@@ -337,13 +330,11 @@ mod tests {
     fn seqlock_formulas_snapshot_memoizes_and_invalidates() {
         let mut store = LabelStore::new();
         store.say(&p("A"), "one").unwrap();
-        let (s1, v1) = store.formulas_snapshot();
-        let (s2, v2) = store.formulas_snapshot();
+        let s1 = store.formulas_snapshot();
+        let s2 = store.formulas_snapshot();
         assert!(Arc::ptr_eq(&s1, &s2), "unchanged store must share the Arc");
-        assert_eq!(v1, v2);
         store.say(&p("A"), "two").unwrap();
-        let (s3, v3) = store.formulas_snapshot();
-        assert!(v3 > v2, "mutation must move the version");
+        let s3 = store.formulas_snapshot();
         assert_eq!(s3.len(), 2);
         assert_eq!(
             *s1,

@@ -100,6 +100,23 @@ impl Cluster {
         }
     }
 
+    /// Broadcast `op` from `node`'s endpoint and put its Sends on the
+    /// wire.
+    fn originate(&mut self, node: NodeId, op: LabelOp) {
+        let n = &mut self.nodes[node as usize];
+        let step = n.brb.broadcast(op, &n.signer);
+        self.route(node, step.outgoing);
+    }
+
+    /// One anti-entropy pass at each of `nodes`, in order.
+    fn retransmit(&mut self, nodes: impl Iterator<Item = NodeId>) {
+        for node in nodes {
+            let n = &mut self.nodes[node as usize];
+            let step = n.brb.anti_entropy(&n.signer);
+            self.route(node, step.outgoing);
+        }
+    }
+
     // ---- originating ops ----
 
     /// Broadcast a mint of `speaker says statement` for `subject`,
@@ -119,9 +136,7 @@ impl Cluster {
             dot,
             label: record.clone(),
         };
-        let n = &mut self.nodes[node as usize];
-        let step = n.brb.broadcast(op, &n.signer);
-        self.route(node, step.outgoing);
+        self.originate(node, op);
         record
     }
 
@@ -137,9 +152,7 @@ impl Cluster {
             label: record.clone(),
             dots,
         };
-        let n = &mut self.nodes[node as usize];
-        let step = n.brb.broadcast(op, &n.signer);
-        self.route(node, step.outgoing);
+        self.originate(node, op);
         true
     }
 
@@ -163,9 +176,7 @@ impl Cluster {
             to_subject: to_subject.to_string(),
             dot,
         };
-        let n = &mut self.nodes[node as usize];
-        let step = n.brb.broadcast(op, &n.signer);
-        self.route(node, step.outgoing);
+        self.originate(node, op);
         Some(LabelRecord::new(
             to_subject,
             &record.speaker,
@@ -201,11 +212,7 @@ impl Cluster {
     /// Every node retransmits its known Sends (the anti-entropy pass
     /// run after a partition heals).
     pub fn anti_entropy(&mut self) {
-        for i in 0..self.nodes.len() {
-            let n = &mut self.nodes[i];
-            let step = n.brb.anti_entropy(&n.signer);
-            self.route(i as NodeId, step.outgoing);
-        }
+        self.retransmit(0..self.nodes.len() as NodeId);
     }
 
     /// Do all replicas agree (pairwise or-set agreement)?
@@ -375,9 +382,7 @@ impl Cluster {
             },
         ];
         for op in ops {
-            let n = &mut self.nodes[byz as usize];
-            let step = n.brb.broadcast(op, &n.signer);
-            self.route(byz, step.outgoing);
+            self.originate(byz, op);
         }
         (rec_a, rec_b)
     }
@@ -399,9 +404,7 @@ impl Cluster {
             dot: Dot::new(victim, counter),
             label: rec.clone(),
         };
-        let n = &mut self.nodes[byz as usize];
-        let step = n.brb.broadcast(op, &n.signer);
-        self.route(byz, step.outgoing);
+        self.originate(byz, op);
         rec
     }
 
@@ -410,23 +413,12 @@ impl Cluster {
     /// Send can never be replayed by itself. Totality must not depend
     /// on it: surviving voters re-announce their own Echo/Ready.
     pub fn anti_entropy_without(&mut self, crashed: NodeId) {
-        for i in 0..self.nodes.len() {
-            if i as NodeId == crashed {
-                continue;
-            }
-            let n = &mut self.nodes[i];
-            let step = n.brb.anti_entropy(&n.signer);
-            self.route(i as NodeId, step.outgoing);
-        }
+        self.retransmit((0..self.nodes.len() as NodeId).filter(|&i| i != crashed));
     }
 
     /// `byz` replays every Send it knows, `copies` times (a replay
     /// storm). Honest or-sets are idempotent, so state must not move.
     pub fn inject_replay(&mut self, byz: NodeId, copies: usize) {
-        for _ in 0..copies {
-            let n = &mut self.nodes[byz as usize];
-            let step = n.brb.anti_entropy(&n.signer);
-            self.route(byz, step.outgoing);
-        }
+        self.retransmit(std::iter::repeat_n(byz, copies));
     }
 }

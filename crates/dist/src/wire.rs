@@ -16,7 +16,9 @@
 //! never deliver different ops for the same slot, because conflicting
 //! digests cannot both reach the echo quorum. An equivocating origin
 //! therefore gets at most one of its conflicting ops delivered —
-//! possibly neither — but never splits the honest nodes.
+//! possibly neither — but never splits the honest nodes. A slot lives
+//! open → delivered and holds each envelope once, every vote being a
+//! digest into that one store (see `Slot`).
 //!
 //! Every message carries two signatures: the origin's signature over
 //! the envelope (so an op cannot be forged in another node's name even
@@ -341,31 +343,79 @@ impl Message {
 /// at most a handful of broadcasts in flight, far below the window.
 const SLOT_WINDOW: usize = 64;
 
-/// Per-`(origin, seq)` slot state. After delivery the vote tallies
-/// are compacted away (see [`BrbState::try_deliver`]); what remains —
-/// the accepted envelope and this node's own votes — is exactly what
-/// anti-entropy re-announcement needs, so slot memory stops growing
-/// the moment the slot's job is done.
+/// Per-`(origin, seq)` slot state. A slot is **open** from its first
+/// message (or the origin's own [`BrbState::broadcast`]) and holds
+/// every distinct envelope seen for it — one under an honest origin,
+/// at most `n` under a spraying one — plus the tallies counted against
+/// their digests. At `2f + 1` agreeing Readies it is **delivered** and
+/// compacted (see [`BrbState::try_deliver`]) to what anti-entropy
+/// re-announcement needs: the delivered envelope and, only under an
+/// equivocating origin, the different one this node had voted for — so
+/// slot memory stops growing the moment the slot's job is done. In
+/// both phases an envelope is stored **once**; tallies and this node's
+/// own votes are digests into that store, never further copies.
 #[derive(Debug, Default)]
 struct Slot {
-    /// The envelope this node first accepted (first valid Send from
-    /// the origin wins; Echo/Ready for other digests still tally, but
-    /// this is what the node votes for). Set to the delivered
-    /// envelope at delivery even if no Send ever arrived here.
-    accepted: Option<OpEnvelope>,
+    /// The one envelope store: each distinct envelope seen (from any
+    /// phase, so delivery can reconstruct the op even if the Send never
+    /// arrived here) next to its digest, hashed once on arrival. A
+    /// right-sized `Vec`, not a map: a one-entry `BTreeMap` still owns
+    /// a whole 11-value leaf (≈ 2.7 KB here), more than it replaces.
+    envelopes: Vec<(OpDigest, OpEnvelope)>,
     /// Who echoed which digest.
     echoes: BTreeMap<OpDigest, BTreeSet<NodeId>>,
     /// Who sent ready for which digest.
     readies: BTreeMap<OpDigest, BTreeSet<NodeId>>,
-    /// Envelopes seen for digests (from any phase), so delivery can
-    /// reconstruct the op even if the Send never arrived here.
-    seen: BTreeMap<OpDigest, OpEnvelope>,
-    /// The Echo this node fanned out, retransmittable during
+    /// What anti-entropy retransmits verbatim as a Send so quorums can
+    /// re-form after a partition heals: the envelope this node
+    /// origin'd or accepted, else the one it sent Ready for; once
+    /// delivered, the delivered one.
+    send: Option<OpDigest>,
+    /// The envelope this node accepted and echoed (first valid Send
+    /// from the origin wins; Echo/Ready for other digests still tally,
+    /// but this is what the node votes for), retransmittable during
     /// anti-entropy and on replayed/relayed Sends.
-    our_echo: Option<OpEnvelope>,
-    /// The Ready this node fanned out, likewise retransmittable.
-    our_ready: Option<OpEnvelope>,
+    echo: Option<OpDigest>,
+    /// The envelope this node sent Ready for, likewise retransmittable.
+    ready: Option<OpDigest>,
     delivered: bool,
+}
+
+/// The first digest in `tally` with at least `threshold` voters.
+fn quorum(tally: &BTreeMap<OpDigest, BTreeSet<NodeId>>, threshold: usize) -> Option<OpDigest> {
+    let (digest, _) = tally.iter().find(|(_, voters)| voters.len() >= threshold)?;
+    Some(*digest)
+}
+
+impl Slot {
+    /// The stored envelope that hashed to `digest`.
+    fn envelope(&self, digest: &OpDigest) -> Option<&OpEnvelope> {
+        self.envelopes
+            .iter()
+            .find(|(d, _)| d == digest)
+            .map(|(_, env)| env)
+    }
+
+    /// Store `env` under `digest` unless it is already held — the only
+    /// place an envelope enters a slot. No growth slack: the honest
+    /// slot's one envelope is one exact allocation for life.
+    fn hold(&mut self, digest: OpDigest, env: &OpEnvelope) {
+        if self.envelope(&digest).is_none() {
+            self.envelopes.reserve_exact(1);
+            self.envelopes.push((digest, env.clone()));
+        }
+    }
+
+    /// This node's own votes for this slot — its Echo, then its Ready
+    /// — restricted to those for `only` when given.
+    fn votes(&self, only: Option<&OpDigest>) -> impl Iterator<Item = Payload> {
+        let held = |vote: Option<OpDigest>| {
+            let digest = vote.filter(|d| only.is_none_or(|o| o == d))?;
+            self.envelope(&digest).cloned()
+        };
+        let echo = held(self.echo).map(Payload::Echo);
+        echo.into_iter().chain(held(self.ready).map(Payload::Ready))
+    }
 }
 
 nexus_obs::counters! {
@@ -403,10 +453,6 @@ pub struct BrbState {
     slots: BTreeMap<(NodeId, u64), Slot>,
     /// Undelivered-slot count per origin, enforcing [`SLOT_WINDOW`].
     undelivered: BTreeMap<NodeId, usize>,
-    /// Everything this node has origin'd or accepted as a Send —
-    /// retransmitted verbatim during anti-entropy so quorums can
-    /// re-form after a partition heals.
-    known_sends: BTreeMap<(NodeId, u64), OpEnvelope>,
     counters: BrbCounters,
 }
 
@@ -429,7 +475,6 @@ impl BrbState {
             next_seq: 0,
             slots: BTreeMap::new(),
             undelivered: BTreeMap::new(),
-            known_sends: BTreeMap::new(),
             counters: BrbCounters::default(),
         }
     }
@@ -449,12 +494,17 @@ impl BrbState {
         self.counters
     }
 
-    fn fanout(&self, payload: Payload, signer: &dyn OpSigner) -> Vec<(NodeId, Message)> {
-        let msg = Message::sign(self.id, payload, signer);
-        self.membership
-            .nodes()
-            .map(|to| (to, msg.clone()))
-            .collect()
+    /// Link-sign each of `payloads` in turn, addressed to every node.
+    fn fanout(
+        &self,
+        payloads: impl IntoIterator<Item = Payload>,
+        signer: &dyn OpSigner,
+    ) -> Vec<(NodeId, Message)> {
+        let to_all = |payload| {
+            let msg = Message::sign(self.id, payload, signer);
+            self.membership.nodes().map(move |to| (to, msg.clone()))
+        };
+        payloads.into_iter().flat_map(to_all).collect()
     }
 
     /// Originate a broadcast of `op`: allocate the next sequence
@@ -465,9 +515,19 @@ impl BrbState {
         let seq = self.next_seq;
         self.next_seq += 1;
         let env = OpEnvelope::sign(self.id, seq, op, signer);
-        self.known_sends.insert((self.id, seq), env.clone());
+        // The slot opens here rather than when the self-addressed Send
+        // arrives: until then this is the only copy anti-entropy can
+        // retransmit. It counts against our own window like any other
+        // slot, but a node never drops its own op.
+        let slot = self.slots.entry((self.id, seq)).or_insert_with(|| {
+            *self.undelivered.entry(self.id).or_default() += 1;
+            Slot::default()
+        });
+        let digest = env.digest();
+        slot.hold(digest, &env);
+        slot.send = Some(digest);
         Step {
-            outgoing: self.fanout(Payload::Send(env), signer),
+            outgoing: self.fanout([Payload::Send(env)], signer),
             delivered: Vec::new(),
         }
     }
@@ -481,26 +541,13 @@ impl BrbState {
     /// retransmit its Send (totality does not depend on the origin
     /// surviving).
     pub fn anti_entropy(&mut self, signer: &dyn OpSigner) -> Step {
-        let mut payloads: Vec<Payload> = self
-            .known_sends
-            .values()
-            .cloned()
-            .map(Payload::Send)
-            .collect();
-        for slot in self.slots.values() {
-            if let Some(env) = &slot.our_echo {
-                payloads.push(Payload::Echo(env.clone()));
-            }
-            if let Some(env) = &slot.our_ready {
-                payloads.push(Payload::Ready(env.clone()));
-            }
-        }
-        let mut out = Vec::new();
-        for p in payloads {
-            out.extend(self.fanout(p, signer));
-        }
+        let sends = self.slots.values().filter_map(|slot| {
+            let env = slot.envelope(slot.send.as_ref()?)?;
+            Some(Payload::Send(env.clone()))
+        });
+        let votes = self.slots.values().flat_map(|slot| slot.votes(None));
         Step {
-            outgoing: out,
+            outgoing: self.fanout(sends.chain(votes), signer),
             delivered: Vec::new(),
         }
     }
@@ -509,12 +556,12 @@ impl BrbState {
     /// dropped; everything else advances the slot's phase machine.
     pub fn handle(&mut self, msg: &Message, signer: &dyn OpSigner) -> Step {
         let mut step = Step::default();
-        if !msg.verify(&self.membership) || !msg.payload.envelope().verify(&self.membership) {
+        let env = msg.payload.envelope();
+        if !msg.verify(&self.membership) || !env.verify(&self.membership) {
             self.counters.rejected_sigs += 1;
             return step;
         }
 
-        let env = msg.payload.envelope().clone();
         let key = (env.origin, env.seq);
         let digest = env.digest();
 
@@ -531,70 +578,62 @@ impl BrbState {
             self.undelivered.insert(env.origin, active + 1);
             self.slots.insert(key, Slot::default());
         }
-        self.counters.accepted += 1;
 
-        let digest_cap = self.membership.n();
         let slot = self.slots.get_mut(&key).expect("slot just ensured");
 
-        // A delivered slot's tallies are gone; the only remaining duty
-        // is re-announcing our votes when a (replayed or relayed) Send
-        // asks for them, so vote maps can never regrow.
-        if slot.delivered {
-            self.counters.duplicates += 1;
-            if matches!(msg.payload, Payload::Send(_)) {
-                step.outgoing.extend(self.reannounce(key, &digest, signer));
-            }
-            return step;
-        }
-
-        // Bound distinct digests tracked per slot: honest operation
-        // produces one (two under an equivocating origin); each costs
-        // an envelope copy, so beyond `n` it can only be vote
-        // stuffing by a member spraying self-signed variants.
-        if !slot.seen.contains_key(&digest) && slot.seen.len() >= digest_cap {
+        // Bound distinct digests tracked per open slot: honest
+        // operation produces one (two under an equivocating origin);
+        // each costs an envelope copy, so beyond `n` it can only be
+        // vote stuffing by a member spraying self-signed variants.
+        let novel = !slot.delivered && slot.envelope(&digest).is_none();
+        if novel && slot.envelopes.len() >= self.membership.n() {
             self.counters.rejected_bounds += 1;
             return step;
         }
-        slot.seen.entry(digest).or_insert_with(|| env.clone());
+        self.counters.accepted += 1;
+
+        // A delivered slot's tallies are gone; the only remaining duty
+        // is re-announcing our votes when a (replayed or relayed) Send
+        // asks for them, so neither vote maps nor the envelope store
+        // can ever regrow.
+        if slot.delivered {
+            self.counters.duplicates += 1;
+            if matches!(msg.payload, Payload::Send(_)) {
+                step.outgoing = self.reannounce(key, &digest, signer);
+            }
+            return step;
+        }
+        slot.hold(digest, env);
 
         match &msg.payload {
-            Payload::Send(_) => {
-                match &slot.accepted {
-                    Some(acc) if acc.digest() != digest => {
-                        // A validly origin-signed conflicting envelope
-                        // for an accepted slot — whether carried by
-                        // the origin or a relay — is proof the origin
-                        // equivocated. First valid Send wins.
-                        self.counters.equivocations += 1;
-                        return step;
-                    }
-                    Some(_) => {
-                        // Replayed or relayed Send for the envelope we
-                        // hold: re-announce our votes so a healed
-                        // partition can rebuild the quorum.
-                        self.counters.duplicates += 1;
-                        step.outgoing.extend(self.reannounce(key, &digest, signer));
-                        return step;
-                    }
-                    None if msg.from == env.origin => {
-                        slot.accepted = Some(env.clone());
-                        slot.our_echo = Some(env.clone());
-                        self.known_sends.insert(key, env.clone());
-                        step.outgoing
-                            .extend(self.fanout(Payload::Echo(env), signer));
-                    }
-                    None => {
-                        // Relayed Send for a slot we never accepted:
-                        // only the origin's own link opens a slot
-                        // (acceptance stays origin-gated), but any
-                        // votes we do hold — e.g. a Ready reached via
-                        // amplification — are still re-announced.
-                        self.counters.duplicates += 1;
-                        step.outgoing.extend(self.reannounce(key, &digest, signer));
-                        return step;
-                    }
+            Payload::Send(_) => match slot.echo {
+                Some(accepted) if accepted != digest => {
+                    // A validly origin-signed conflicting envelope for
+                    // an accepted slot — whether carried by the origin
+                    // or a relay — is proof the origin equivocated.
+                    // First valid Send wins.
+                    self.counters.equivocations += 1;
+                    return step;
                 }
-            }
+                None if msg.from == env.origin => {
+                    slot.echo = Some(digest);
+                    slot.send = Some(digest);
+                    step.outgoing = self.fanout([Payload::Echo(env.clone())], signer);
+                }
+                _ => {
+                    // Replayed or relayed Send for the envelope we
+                    // hold: re-announce our votes so a healed
+                    // partition can rebuild the quorum. Or a relayed
+                    // Send for a slot we never accepted: only the
+                    // origin's own link opens a slot (acceptance stays
+                    // origin-gated), but any votes we do hold — e.g. a
+                    // Ready reached via amplification — are still
+                    // re-announced.
+                    self.counters.duplicates += 1;
+                    step.outgoing = self.reannounce(key, &digest, signer);
+                    return step;
+                }
+            },
             Payload::Echo(_) => {
                 if !slot.echoes.entry(digest).or_default().insert(msg.from) {
                     self.counters.duplicates += 1;
@@ -609,7 +648,8 @@ impl BrbState {
             }
         }
 
-        step.outgoing.extend(self.advance(key, signer));
+        let ready = self.advance(key);
+        step.outgoing.extend(self.fanout(ready, signer));
         if let Some(env) = self.try_deliver(key) {
             self.counters.delivered += 1;
             step.delivered.push(env);
@@ -629,83 +669,50 @@ impl BrbState {
         digest: &OpDigest,
         signer: &dyn OpSigner,
     ) -> Vec<(NodeId, Message)> {
-        let Some(slot) = self.slots.get(&key) else {
-            return Vec::new();
-        };
-        let mut payloads = Vec::new();
-        if let Some(env) = &slot.our_echo {
-            if env.digest() == *digest {
-                payloads.push(Payload::Echo(env.clone()));
-            }
-        }
-        if let Some(env) = &slot.our_ready {
-            if env.digest() == *digest {
-                payloads.push(Payload::Ready(env.clone()));
-            }
-        }
-        let mut out = Vec::new();
-        for p in payloads {
-            out.extend(self.fanout(p, signer));
-        }
-        out
+        let slot = self.slots.get(&key);
+        self.fanout(slot.into_iter().flat_map(|s| s.votes(Some(digest))), signer)
     }
 
     /// Phase transitions for a slot after a new vote landed: echo
-    /// quorum → Ready, ready amplification → Ready.
-    fn advance(&mut self, key: (NodeId, u64), signer: &dyn OpSigner) -> Vec<(NodeId, Message)> {
+    /// quorum → Ready, ready amplification → Ready. Returns the Ready
+    /// to fan out, if this vote tipped one.
+    fn advance(&mut self, key: (NodeId, u64)) -> Option<Payload> {
         let echo_q = self.membership.echo_quorum();
         let amplify = self.membership.ready_amplify();
-        let Some(slot) = self.slots.get_mut(&key) else {
-            return Vec::new();
-        };
-        if slot.our_ready.is_some() {
-            return Vec::new();
+        let slot = self.slots.get_mut(&key)?;
+        if slot.ready.is_some() {
+            return None;
         }
-        let ready_for = slot
-            .echoes
-            .iter()
-            .find(|(_, voters)| voters.len() >= echo_q)
-            .or_else(|| {
-                slot.readies
-                    .iter()
-                    .find(|(_, voters)| voters.len() >= amplify)
-            })
-            .map(|(digest, _)| *digest);
-        let Some(digest) = ready_for else {
-            return Vec::new();
-        };
-        let Some(env) = slot.seen.get(&digest).cloned() else {
-            return Vec::new();
-        };
-        slot.our_ready = Some(env.clone());
-        self.known_sends.entry(key).or_insert_with(|| env.clone());
-        self.fanout(Payload::Ready(env), signer)
+        let digest = quorum(&slot.echoes, echo_q).or_else(|| quorum(&slot.readies, amplify))?;
+        let env = slot.envelope(&digest)?.clone();
+        slot.ready = Some(digest);
+        slot.send.get_or_insert(digest);
+        Some(Payload::Ready(env))
     }
 
     /// Deliver once `2f + 1` readies agree on one digest, then compact
     /// the slot: the vote tallies have done their job, so they (and
-    /// the per-digest envelope copies) are dropped. What stays — the
-    /// delivered envelope as `accepted`, plus this node's own votes —
-    /// is exactly what anti-entropy re-announcement needs, and the
-    /// origin's undelivered-window slot is released.
+    /// every envelope no vote of ours refers to) are dropped. What
+    /// stays — the delivered envelope, which becomes the slot's Send,
+    /// plus this node's own votes — is exactly what anti-entropy
+    /// re-announcement needs, and the origin's undelivered-window slot
+    /// is released.
     fn try_deliver(&mut self, key: (NodeId, u64)) -> Option<OpEnvelope> {
-        let quorum = self.membership.deliver_quorum();
+        let deliver_q = self.membership.deliver_quorum();
         let slot = self.slots.get_mut(&key)?;
         if slot.delivered {
             return None;
         }
-        let digest = slot
-            .readies
-            .iter()
-            .find(|(_, voters)| voters.len() >= quorum)
-            .map(|(d, _)| *d)?;
-        let env = slot.seen.get(&digest)?.clone();
+        let digest = quorum(&slot.readies, deliver_q)?;
+        let env = slot.envelope(&digest)?.clone();
         slot.delivered = true;
         slot.echoes.clear();
         slot.readies.clear();
-        slot.seen.clear();
-        slot.accepted = Some(env.clone());
-        self.known_sends.insert(key, env.clone());
+        slot.send = Some(digest);
+        let referenced = [slot.send, slot.echo, slot.ready];
+        slot.envelopes
+            .retain(|(d, _)| referenced.contains(&Some(*d)));
+        slot.envelopes.shrink_to_fit();
         if let Some(active) = self.undelivered.get_mut(&key.0) {
             *active = active.saturating_sub(1);
         }
@@ -747,6 +754,17 @@ mod tests {
             delivered[to as usize].extend(step.delivered);
         }
         delivered
+    }
+
+    /// Envelopes an endpoint holds, over all its slots.
+    fn envelopes_held(state: &BrbState) -> usize {
+        state.slots.values().map(|s| s.envelopes.len()).sum()
+    }
+
+    /// `payload` from `from`, fanned out to the whole `cluster(4)`.
+    fn to_all(from: NodeId, payload: Payload, signers: &[SimEd25519]) -> Vec<(NodeId, Message)> {
+        let msg = Message::sign(from, payload, &signers[from as usize]);
+        (0..4).map(|to| (to, msg.clone())).collect()
     }
 
     #[test]
@@ -906,8 +924,14 @@ mod tests {
             states[0].handle(&msg, &signers[0]);
         }
         let slot = states[0].slots.get(&(3, 0)).expect("slot exists");
-        assert_eq!(slot.seen.len(), 4, "digest cap must hold at n");
-        assert!(states[0].counters().rejected_bounds >= 28);
+        assert_eq!(slot.envelopes.len(), 4, "digest cap must hold at n");
+        let c = states[0].counters();
+        assert!(c.rejected_bounds >= 28);
+        assert_eq!(
+            c.accepted + c.rejected_bounds + c.rejected_sigs,
+            32,
+            "a message is accepted or rejected, never both"
+        );
     }
 
     #[test]
@@ -919,14 +943,85 @@ mod tests {
         let slot = states[1].slots.get(&(0, 0)).expect("slot retained");
         assert!(slot.delivered);
         assert!(
-            slot.echoes.is_empty() && slot.readies.is_empty() && slot.seen.is_empty(),
+            slot.echoes.is_empty() && slot.readies.is_empty(),
             "vote tallies must be compacted after delivery"
         );
-        assert!(
-            slot.accepted.is_some(),
-            "re-announce still needs the envelope"
+        assert_eq!(
+            slot.envelopes.len(),
+            1,
+            "re-announce still needs the envelope, exactly once"
         );
         assert_eq!(states[1].undelivered.get(&0).copied().unwrap_or(0), 0);
+    }
+
+    #[test]
+    fn an_endpoint_holds_each_delivered_envelope_exactly_once() {
+        let (mut states, signers) = cluster(4);
+        let k = 6;
+        for i in 0..k {
+            let origin = i % 4;
+            let first = states[origin].broadcast(op(i as u64), &signers[origin]);
+            let delivered = pump(&mut states, &signers, first);
+            assert!(delivered.iter().all(|d| d.len() == 1));
+        }
+        for (i, state) in states.iter().enumerate() {
+            assert_eq!(envelopes_held(state), k, "node {i}");
+        }
+    }
+
+    #[test]
+    fn an_origin_whose_self_send_was_discarded_still_retransmits_it() {
+        let (mut states, signers) = cluster(4);
+        // Every copy of the Send is lost, the origin's own included.
+        let first = states[0].broadcast(op(1), &signers[0]);
+        let sent = first.outgoing[0].1.payload.clone();
+        assert!(matches!(sent, Payload::Send(_)));
+        let again = states[0].anti_entropy(&signers[0]);
+        assert_eq!(again.outgoing, to_all(0, sent, &signers));
+        let delivered = pump(&mut states, &signers, again);
+        assert!(delivered.iter().all(|d| d.len() == 1));
+    }
+
+    #[test]
+    fn votes_for_a_losing_envelope_are_reannounced_after_delivery() {
+        // Origin 0 equivocates: envelope A reaches only node 1, B the
+        // other three. B gathers the echo quorum and is delivered
+        // everywhere; node 1 has echoed A and sent Ready for B.
+        let (mut states, signers) = cluster(4);
+        let env_a = OpEnvelope::sign(0, 0, op(1), &signers[0]);
+        let env_b = OpEnvelope::sign(0, 0, op(2), &signers[0]);
+        let send_a = Message::sign(0, Payload::Send(env_a.clone()), &signers[0]);
+        let send_b = Message::sign(0, Payload::Send(env_b.clone()), &signers[0]);
+        let first = Step {
+            // `pump` pops from the back: node 1 accepts A first.
+            outgoing: vec![
+                (0, send_b.clone()),
+                (2, send_b.clone()),
+                (3, send_b.clone()),
+                (1, send_a.clone()),
+            ],
+            delivered: Vec::new(),
+        };
+        let delivered = pump(&mut states, &signers, first);
+        for (i, d) in delivered.iter().enumerate() {
+            assert_eq!(d.len(), 1, "node {i}");
+            assert_eq!(d[0], env_b, "node {i}");
+        }
+        assert_eq!(envelopes_held(&states[1]), 2, "delivered + voted-for");
+        for state in [0, 2, 3] {
+            assert_eq!(envelopes_held(&states[state]), 1, "node {state}");
+        }
+
+        // Message for message what the four-copy layout answered.
+        let echo_a = to_all(1, Payload::Echo(env_a), &signers);
+        let ready_b = to_all(1, Payload::Ready(env_b.clone()), &signers);
+        let step = states[1].handle(&send_a, &signers[1]);
+        assert_eq!(step.outgoing, echo_a);
+        let step = states[1].handle(&send_b, &signers[1]);
+        assert_eq!(step.outgoing, ready_b);
+        let step = states[1].anti_entropy(&signers[1]);
+        let all = [to_all(1, Payload::Send(env_b), &signers), echo_a, ready_b].concat();
+        assert_eq!(step.outgoing, all);
     }
 
     #[test]

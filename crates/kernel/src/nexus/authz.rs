@@ -413,7 +413,7 @@ impl Nexus {
         // credential set comes from the store's memoized snapshot, so
         // a wide set is assembled once per label mutation, not once
         // per request.
-        let creds = self.ipds.read().get(pid)?.labelstore.formulas_snapshot().0;
+        let creds = self.ipds.read().get(pid)?.labelstore.formulas_snapshot();
         let mut labels = Vec::with_capacity(creds.len() + 2);
         labels.extend(creds.iter().cloned());
         labels.push(Formula::pred(&opn.0, vec![]).says(subject.clone()));
