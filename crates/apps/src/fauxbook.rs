@@ -30,7 +30,7 @@ use nexus_core::{
     ResourceId,
 };
 use nexus_kernel::{BootImages, EchoPath, EchoWorld, MonitorLevel, Nexus, NexusConfig};
-use nexus_nal::{parse, Formula, Principal, Proof};
+use nexus_nal::{parse, CredSet, Creds, Formula, Principal, Proof};
 use nexus_storage::RamDisk;
 use nexus_tpm::Tpm;
 use parking_lot::Mutex;
@@ -445,12 +445,14 @@ impl Fauxbook {
         let subject = Principal::name(&viewer);
         let op = OpName::from("view");
         let object = ResourceId::file(&format!("/fauxbook/{whose}/wall"));
+        // No labels: every leaf is an authority's to vouch for.
+        let no_labels = CredSet::default();
         let req = AccessRequest {
             subject: &subject,
             operation: &op,
             object: &object,
             proof: proof.as_ref().map(ProofRef::Raw),
-            labels: &[],
+            labels: Creds::new(&no_labels),
         };
         let decision = self.guard.check(&req, &goal, &self.authorities);
         self.state.lock().current_user = None;

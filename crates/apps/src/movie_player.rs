@@ -12,7 +12,7 @@ use nexus_core::{
     ResourceId,
 };
 use nexus_kernel::Nexus;
-use nexus_nal::{parse, prove, Formula, Principal, ProverConfig};
+use nexus_nal::{parse, prove, CredSet, Creds, Formula, Principal, ProverConfig};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -129,12 +129,13 @@ impl MovieService {
         let subject = Principal::name(format!("/proc/ipd/{player}"));
         let op = OpName::from("stream");
         let object = ResourceId::new("movie", "feature");
+        let held = CredSet::new(&labels);
         let req = AccessRequest {
             subject: &subject,
             operation: &op,
             object: &object,
             proof: Some(ProofRef::Raw(&proof)),
-            labels: &labels,
+            labels: Creds::new(&held),
         };
         let d = self.guard.check(&req, &goal, &self.authorities);
         if d.allow {

@@ -13,7 +13,7 @@
 
 use nexus_core::{AccessRequest, AuthorityRegistry, Guard, OpName, ProofRef, ResourceId};
 use nexus_nal::check::{check, Assumptions};
-use nexus_nal::{parse, Formula, Principal, Proof};
+use nexus_nal::{parse, CredSet, Creds, Formula, Principal, Proof};
 use serde::Serialize;
 
 use crate::time_ns;
@@ -97,12 +97,15 @@ pub fn measure(family: Family, n: usize, iters: u64) -> Point {
     let object = ResourceId::new("bench", "obj");
     let full_ns = time_ns(iters, || {
         let guard = Guard::new();
+        // Prepared inside the timed region: Figure 5's request arrives
+        // with raw credentials.
+        let held = CredSet::new(&creds);
         let req = AccessRequest {
             subject: &subject,
             operation: &op,
             object: &object,
             proof: Some(ProofRef::Raw(&proof)),
-            labels: &creds,
+            labels: Creds::new(&held),
         };
         let d = guard.check(&req, &goal, &AuthorityRegistry::new());
         assert!(d.allow);

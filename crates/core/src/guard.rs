@@ -15,20 +15,25 @@
 //! once and kept as a [`Checked`] witness; *credential matching* — do
 //! those leaves hold right now? — is asked on every request (Figure
 //! 4's `no cred` case costs ~20% over `pass` even when everything else
-//! is cached). Where the witness comes from is all that varies: a
-//! proof the prover constructed arrives already `Checked`
-//! ([`ProofRef::Checked`]) and touches no memo at all; a supplied or
-//! stored proof ([`ProofRef::Raw`]) is looked up in the memo by the
-//! proof itself — hashed under the map's own keyed hasher and
-//! confirmed by `Eq`, so no two proofs can ever answer for each other
-//! — and checked, once, on a miss.
+//! is cached), of the requester's own *prepared* credentials
+//! ([`Creds`]: the holder's set as its labelstore normalised, keyed
+//! and sorted it when it last changed, plus the request's utterances):
+//! one keyed probe per distinct leaf, each key match confirmed by `==`
+//! on the normal form. The guard normalises and hashes no credential;
+//! it builds no set of its own. Where the witness comes from is all
+//! that varies: a proof the prover constructed arrives already
+//! `Checked` ([`ProofRef::Checked`]) and touches no memo at all; a
+//! supplied or stored proof ([`ProofRef::Raw`]) is looked up in the
+//! memo by the proof itself — hashed under the map's own keyed hasher
+//! and confirmed by `Eq`, so no two proofs can ever answer for each
+//! other — and checked, once, on a miss.
 
 use crate::authority::AuthorityRegistry;
 use crate::resource::{OpName, ResourceId};
-use nexus_nal::check::{check_own_leaves, normalize, Assumptions, Checked};
+use nexus_nal::check::{check_own_leaves, normalize, Checked};
 use nexus_nal::{
-    BatchGoal, CheckError, Formula, Principal, Proof, ProofSearch, ProveOutcome, ProverConfig,
-    Subst, Term,
+    BatchGoal, CheckError, Creds, Formula, PreparedGoal, Principal, Proof, ProofSearch,
+    ProveOutcome, ProverConfig, Subst, Term,
 };
 use parking_lot::Mutex;
 use std::borrow::Borrow;
@@ -62,8 +67,9 @@ pub struct AccessRequest<'a> {
     pub proof: Option<ProofRef<'a>>,
     /// The client's credentials (label formulas), already
     /// authenticated by the kernel (labelstore) or by certificate
-    /// verification at import time.
-    pub labels: &'a [Formula],
+    /// verification at import time — and already prepared: the guard
+    /// probes them, it does not normalise them.
+    pub labels: Creds<'a>,
 }
 
 /// Why a request was denied.
@@ -333,19 +339,21 @@ impl Guard {
         self.check_instantiated(req, &goal, &norm_goal, authorities)
     }
 
-    /// Evaluate a whole batch of requests that share one goal formula
-    /// (the async pipeline's coalesced batches): when the goal is
-    /// ground — mentions none of `$subject`/`$operation`/`$object` —
-    /// instantiation is the identity and its NAL normalization is
-    /// computed once for the batch instead of once per request.
-    /// Non-ground goals fall back to per-request evaluation.
+    /// Evaluate a slice of requests that share one goal formula (the
+    /// async pipeline's coalesced batches, or the caller-thread path's
+    /// slice of one): when the goal is ground — mentions none of
+    /// `$subject`/`$operation`/`$object` — instantiation is the
+    /// identity, so the goal is not copied at all and its NAL
+    /// normalization is computed once for the slice instead of once
+    /// per request. Non-ground goals fall back to per-request
+    /// evaluation.
     pub fn check_batch(
         &self,
         reqs: &[AccessRequest<'_>],
         goal: &Formula,
         authorities: &AuthorityRegistry,
     ) -> Vec<Decision> {
-        if goal.is_ground() && reqs.len() > 1 {
+        if goal.is_ground() {
             let norm_goal = normalize(goal);
             self.counters.batched.add(reqs.len() as u64);
             reqs.iter()
@@ -409,11 +417,11 @@ impl Guard {
             );
         }
 
-        // 2. Credential matching — never cached (§2.9).
-        let label_set = Assumptions::from_iter(req.labels.iter());
+        // 2. Credential matching — never cached (§2.9): every leaf of
+        //    every witness, against the requester's own credentials.
         let mut cacheable = true;
         for leaf in witness.leaves() {
-            if label_set.contains_normal(&leaf.normal) {
+            if req.labels.holds_leaf(leaf.key, &leaf.normal) {
                 continue;
             }
             // Authority fallback: leaf must be `P says S` with a
@@ -475,6 +483,9 @@ impl Guard {
     /// also resets the session, so changed limits always take effect.
     /// Returns one optional proof per input, in order — each already
     /// [`Checked`] and ready to hand back as [`ProofRef::Checked`].
+    /// This is the raw door: each member's credentials are prepared
+    /// (normalised, keyed, sorted) on the way in, then proved exactly
+    /// as [`prove_prepared`](Self::prove_prepared) proves them.
     ///
     /// Concurrency: the session sits behind one mutex held for the
     /// whole batch search, so concurrent auto-proving serializes —
@@ -491,21 +502,34 @@ impl Guard {
         goals: &[BatchGoal<'_>],
         cfg: ProverConfig,
     ) -> Vec<Option<Arc<Checked>>> {
-        self.prove_batch_explained(epoch, goals, cfg)
+        self.with_session(epoch, cfg, |search| search.prove_batch_explained(goals))
             .into_iter()
             .map(|o| o.proof)
             .collect()
     }
 
-    /// [`prove_batch`](Self::prove_batch), but each failure also
-    /// carries the refuted subgoal the search got stuck on (see
-    /// [`ProveOutcome`]) — the raw material for audit-journal denial
+    /// [`prove_batch`](Self::prove_batch) for requests whose
+    /// credentials are already prepared — the kernel's door: nothing
+    /// is normalised here but the goal — with each failure carrying
+    /// the refuted subgoal the search got stuck on (see
+    /// [`ProveOutcome`]), the raw material for audit-journal denial
     /// events.
-    pub fn prove_batch_explained(
+    pub fn prove_prepared(
         &self,
         epoch: u64,
-        goals: &[BatchGoal<'_>],
+        goals: &[PreparedGoal<'_>],
         cfg: ProverConfig,
+    ) -> Vec<ProveOutcome> {
+        self.with_session(epoch, cfg, |search| search.prove_prepared(goals))
+    }
+
+    /// Run `prove` in the session for (`epoch`, `cfg`) — flushed or
+    /// rebuilt first when either moved — and tally what it did.
+    fn with_session(
+        &self,
+        epoch: u64,
+        cfg: ProverConfig,
+        prove: impl FnOnce(&mut ProofSearch) -> Vec<ProveOutcome>,
     ) -> Vec<ProveOutcome> {
         let mut slot = self.prover.lock();
         let session = match slot.as_mut() {
@@ -531,7 +555,7 @@ impl Guard {
             }
         };
         let before = session.search.stats();
-        let out = session.search.prove_batch_explained(goals);
+        let out = prove(&mut session.search);
         let after = session.search.stats();
         let tally = &self.prover_counters;
         for (cell, was, now) in [
@@ -590,7 +614,7 @@ impl Default for Guard {
 mod tests {
     use super::*;
     use crate::authority::{AuthorityKind, FnAuthority};
-    use nexus_nal::{parse, prove, ProverConfig};
+    use nexus_nal::{parse, prove, CredSet, ProverConfig};
     use std::sync::Arc;
 
     fn subject() -> Principal {
@@ -606,14 +630,17 @@ mod tests {
         op: &'a OpName,
         obj: &'a ResourceId,
         proof: Option<&'a Proof>,
-        labels: &'a [Formula],
+        labels: &[Formula],
     ) -> AccessRequest<'a> {
+        // Prepared as a labelstore would have; leaked so the tests
+        // keep handing in plain formulas.
+        let held: &'static CredSet = Box::leak(Box::new(CredSet::new(labels)));
         AccessRequest {
             subject,
             operation: op,
             object: obj,
             proof: proof.map(ProofRef::Raw),
-            labels,
+            labels: Creds::new(held),
         }
     }
 
@@ -849,23 +876,24 @@ mod tests {
             operation: &op,
             object: &obj,
             proof: Some(ProofRef::Checked(&witness)),
-            labels,
+            labels: Creds::new(labels),
         };
-        let d = guard.check(&req(&labels), &goal, &reg);
+        let (held, short) = (CredSet::new(&labels), CredSet::new(&labels[..1]));
+        let d = guard.check(&req(&held), &goal, &reg);
         assert!(d.allow && d.cacheable, "reason: {:?}", d.reason);
         // The prover's word covers soundness, never possession.
-        let d = guard.check(&req(&labels[..1]), &goal, &reg);
+        let d = guard.check(&req(&short), &goal, &reg);
         assert_eq!(
             d.reason,
             Some(DenyReason::MissingCredential(labels[1].clone()))
         );
         let other = parse("FileServer says more").unwrap();
-        let d = guard.check(&req(&labels), &other, &reg);
+        let d = guard.check(&req(&held), &other, &reg);
         assert!(matches!(d.reason, Some(DenyReason::WrongConclusion { .. })));
         // And the same verdicts as the proof gets the long way round.
         let raw = AccessRequest {
             proof: Some(ProofRef::Raw(witness.proof())),
-            ..req(&labels)
+            ..req(&held)
         };
         assert!(guard.check(&raw, &goal, &reg).allow);
         let st = guard.stats();
@@ -924,6 +952,31 @@ mod tests {
         assert!(!batch[1].allow);
         assert_eq!(batch[2].reason, Some(DenyReason::NoProof));
         assert_eq!(guard.stats().batched, 3, "ground goal must amortize");
+    }
+
+    #[test]
+    fn a_slice_of_one_with_a_ground_goal_is_amortized_like_any_other() {
+        // The caller-thread path's slice: the ground goal is neither
+        // instantiated nor normalised per request, and the verdicts
+        // are `check`'s.
+        let guard = Guard::new();
+        let reg = AuthorityRegistry::new();
+        let (op, obj) = req_parts();
+        let goal = parse("Owner says ok and not Owner says revoked -> Owner says ok").unwrap();
+        let labels = vec![parse("Owner says ok").unwrap()];
+        let proof = prove(&goal, &labels, ProverConfig::default()).expect("provable");
+        let holder = Principal::name("holder");
+        for (proof, labels) in [
+            (Some(&proof), &labels[..]),
+            (Some(&proof), &[][..]),
+            (None, &labels[..]),
+        ] {
+            let req = build_req(&holder, &op, &obj, proof, labels);
+            let batched = guard.stats().batched;
+            let one = guard.check_batch(std::slice::from_ref(&req), &goal, &reg);
+            assert_eq!(guard.stats().batched, batched + 1, "a slice of one counts");
+            assert_eq!(one, [guard.check(&req, &goal, &reg)]);
+        }
     }
 
     #[test]

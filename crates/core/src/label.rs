@@ -12,7 +12,7 @@
 use crate::credential::Certificate;
 use crate::error::CoreError;
 use crate::signer::KernelSigner;
-use nexus_nal::{parse, Formula, Principal};
+use nexus_nal::{normal_key, normalize, parse, CredSet, Formula, Principal};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -53,21 +53,19 @@ pub struct LabelStore {
     /// read the live shape without holding whatever lock owns the
     /// store itself.
     shape: Arc<AtomicU64>,
-    /// Memoized credential-set snapshot for [`LabelStore::formulas_snapshot`]:
-    /// rebuilt lazily after a mutation, shared by `Arc` so the
-    /// evaluation path clones a pointer, not the formula vector.
-    formulas_cache: Mutex<Option<Arc<Vec<Formula>>>>,
+    /// Memoized credential set for [`LabelStore::formulas_snapshot`]:
+    /// prepared (normalised, keyed, sorted) lazily after a mutation,
+    /// shared by `Arc` so the evaluation path clones a pointer and
+    /// prepares nothing.
+    formulas_cache: Mutex<Option<Arc<CredSet>>>,
 }
 
-/// The per-label contribution to a store's shape: a hash of the
-/// normalized formula, combined commutatively so insertion order
-/// never matters and delete exactly cancels insert.
+/// The per-label contribution to a store's shape: the key of the
+/// normalized formula (the one the prepared set orders it by),
+/// combined commutatively so insertion order never matters and delete
+/// exactly cancels insert.
 fn shape_of(label: &Label) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    nexus_nal::check::normalize(&label.formula()).hash(&mut h);
-    h.finish()
+    normal_key(&normalize(&label.formula()))
 }
 
 impl LabelStore {
@@ -126,7 +124,7 @@ impl LabelStore {
         LabelHandle(h)
     }
 
-    /// Drop the memoized credential-set snapshot after a mutation.
+    /// Drop the prepared credential set after a mutation.
     fn invalidate_formulas(&mut self) {
         *self.formulas_cache.lock() = None;
     }
@@ -175,15 +173,18 @@ impl LabelStore {
     /// All label formulas in the store — what gets handed to the guard
     /// as the credential set.
     pub fn formulas(&self) -> Vec<Formula> {
-        (*self.formulas_snapshot()).clone()
+        self.formulas_snapshot().stated().cloned().collect()
     }
 
-    /// The credential set as a shared, memoized snapshot. The first
-    /// call after a mutation rebuilds (and sorts) the vector;
-    /// subsequent calls clone an `Arc`. The evaluation path prepares
-    /// every request through this, so a wide credential set is cloned
-    /// per *mutation* rather than per request.
-    pub fn formulas_snapshot(&self) -> Arc<Vec<Formula>> {
+    /// The credential set as a shared, memoized snapshot, *prepared*
+    /// for the prover and the guard: stated in handle order, with the
+    /// normal forms keyed and sorted beside them ([`CredSet`]). The
+    /// first call after a mutation prepares it; subsequent calls clone
+    /// an `Arc`. The evaluation path takes every request's credentials
+    /// from here, so a wide credential set is normalised per
+    /// *mutation* rather than per request — and a mutation itself
+    /// prepares nothing (`say` stays O(1) in store size).
+    pub fn formulas_snapshot(&self) -> Arc<CredSet> {
         let mut cache = self.formulas_cache.lock();
         match &*cache {
             Some(arc) => Arc::clone(arc),
@@ -191,7 +192,7 @@ impl LabelStore {
                 let mut v: Vec<(u64, Formula)> =
                     self.labels.iter().map(|(h, l)| (*h, l.formula())).collect();
                 v.sort_by_key(|(h, _)| *h);
-                let arc = Arc::new(v.into_iter().map(|(_, f)| f).collect::<Vec<_>>());
+                let arc = Arc::new(CredSet::new(v.iter().map(|(_, f)| f)));
                 *cache = Some(Arc::clone(&arc));
                 arc
             }
@@ -230,7 +231,7 @@ impl LabelStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nexus_nal::parse;
+    use nexus_nal::{parse, Creds};
 
     fn p(n: &str) -> Principal {
         Principal::name(n)
@@ -336,12 +337,31 @@ mod tests {
         store.say(&p("A"), "two").unwrap();
         let s3 = store.formulas_snapshot();
         assert_eq!(s3.len(), 2);
-        assert_eq!(
-            *s1,
-            vec![parse("A says one").unwrap()],
+        assert!(
+            s1.stated().eq([&parse("A says one").unwrap()]),
             "old snapshot intact"
         );
-        assert_eq!(store.formulas(), *s3);
+        assert!(s3.stated().eq(&store.formulas()));
+    }
+
+    #[test]
+    fn a_snapshot_holds_exactly_what_the_store_held_when_it_was_taken() {
+        let mut store = LabelStore::new();
+        let normal = |text: &str| normalize(&parse(text).unwrap());
+        store.say(&p("A"), "one").unwrap();
+        let before = store.formulas_snapshot();
+        let h = store.say(&p("A"), "not two").unwrap();
+        let after = store.formulas_snapshot();
+        // Probed by normal form, whichever way the label was spelled.
+        let two = normal("A says (two -> false)");
+        assert!(Creds::new(&after).holds(&two), "say reaches the next set");
+        assert!(!Creds::new(&before).holds(&two), "and no earlier one");
+        assert!(Creds::new(&after).holds(&normal("A says one")));
+        store.delete(h).unwrap();
+        let gone = store.formulas_snapshot();
+        assert!(!Creds::new(&gone).holds(&two), "delete leaves the next set");
+        assert!(Creds::new(&gone).holds(&normal("A says one")));
+        assert!(Creds::new(&after).holds(&two), "the old Arc is what it was");
     }
 
     #[test]

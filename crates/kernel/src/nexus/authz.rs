@@ -7,7 +7,9 @@ use super::{Nexus, NexusConfig};
 use crate::error::KernelError;
 use nexus_authzd::{AuthzOutcome, AuthzRequest, AuthzTicket};
 use nexus_core::{AccessRequest, Guard, OpName, ProofRef, ResourceId, SubjectDigest};
-use nexus_nal::{BatchGoal, Checked, Formula, Principal, Proof, ProverConfig, Term};
+use nexus_nal::{
+    Checked, CredSet, Creds, Formula, PreparedGoal, Principal, Proof, ProverConfig, Term,
+};
 use nexus_obs::{event as audit_event, AuditPath, AuditVerdict, Stage};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -229,10 +231,12 @@ impl Nexus {
     /// evaluator behind both the caller-thread path (a slice of one,
     /// `AuditPath::Inline`) and the pipeline's coalesced batches
     /// (`AuditPath::Pipeline`). All of `reqs` target (`opn`, `object`)
-    /// and therefore share its goal: the goal is fetched once,
-    /// requests without a proof are auto-proved through one shared
-    /// prover session, and `Guard::check_batch` amortizes a ground
-    /// goal's normalization across the slice.
+    /// and therefore share its goal: the goal is fetched once and
+    /// asked once whether it is ground — a ground goal is its own
+    /// instance for every request, so it is copied for none and
+    /// normalised once per slice, by the prover and by
+    /// `Guard::check_batch` alike — and requests without a proof are
+    /// auto-proved through one shared prover session.
     ///
     /// No-stale-allow is enforced here and only here. The read stamp
     /// is captured *before* any store read and re-validated before any
@@ -258,12 +262,13 @@ impl Nexus {
             let goal = self
                 .goals
                 .effective_goal(&Self::manager_of(object), object, opn);
+            let open_goal = (!goal.is_ground()).then_some(&goal);
             let mut prepared: Vec<Result<PreparedRequest<'_>, KernelError>> = reqs
                 .iter()
-                .map(|r| self.prepare_request(r.pid, opn, object, &goal, r.proof, &cfg))
+                .map(|r| self.prepare_request(r.pid, opn, object, open_goal, r.proof, &cfg))
                 .collect();
             let prove_start = t0.map(|_| Instant::now());
-            self.auto_prove_prepared(&mut prepared);
+            self.auto_prove_prepared(&goal, &mut prepared);
             let prove_end = t0.map(|_| Instant::now());
             let access: Vec<AccessRequest<'_>> = prepared
                 .iter()
@@ -273,7 +278,7 @@ impl Nexus {
                     operation: opn,
                     object,
                     proof: p.proof.as_ref().map(HeldProof::as_proof_ref),
-                    labels: &p.labels,
+                    labels: p.credentials(),
                 })
                 .collect();
             self.guard_upcalls
@@ -292,8 +297,7 @@ impl Nexus {
                         // Auto-proved denies are never cached: a later
                         // `say` could make them allowed, with no
                         // invalidation hook for label additions.
-                        let cacheable =
-                            decision.cacheable && (p.auto_goal.is_none() || decision.allow);
+                        let cacheable = decision.cacheable && (!p.auto_prove || decision.allow);
                         if cfg.decision_cache && cacheable {
                             self.dcache
                                 .fill_if(p.digest, &opn.0, object, decision.allow, || {
@@ -394,7 +398,8 @@ impl Nexus {
     /// Assemble everything request-specific the guard needs: the
     /// subject (off the lock-free hot index), its credentials, and the
     /// proof to check (supplied or stored). A request with neither is
-    /// marked for auto-proving by instantiating `goal` for it — the
+    /// marked for auto-proving — and, when the slice's goal has
+    /// variables (`open_goal`), given its own instance of it — the
     /// search itself is deferred to [`Nexus::auto_prove_prepared`] so a
     /// slice's searches share one prover session.
     fn prepare_request<'a>(
@@ -402,7 +407,7 @@ impl Nexus {
         pid: u64,
         opn: &OpName,
         object: &ResourceId,
-        goal: &Formula,
+        open_goal: Option<&Formula>,
         supplied: Option<&'a Proof>,
         cfg: &NexusConfig,
     ) -> Result<PreparedRequest<'a>, KernelError> {
@@ -410,14 +415,14 @@ impl Nexus {
         // The subject's credentials: its labelstore plus the request
         // itself, which arrived over the attested syscall channel and
         // is therefore an utterance the kernel can vouch for. The
-        // credential set comes from the store's memoized snapshot, so
-        // a wide set is assembled once per label mutation, not once
-        // per request.
-        let creds = self.ipds.read().get(pid)?.labelstore.formulas_snapshot();
-        let mut labels = Vec::with_capacity(creds.len() + 2);
-        labels.extend(creds.iter().cloned());
-        labels.push(Formula::pred(&opn.0, vec![]).says(subject.clone()));
-        labels.push(Formula::pred(&opn.0, vec![Term::sym(object.0.clone())]).says(subject.clone()));
+        // store's set was prepared when it last changed and is taken
+        // by reference; the two utterances are the only formulas
+        // built, and the only ones prepared, per request.
+        let held = self.ipds.read().get(pid)?.labelstore.formulas_snapshot();
+        let uttered = CredSet::new(&[
+            Formula::pred(&opn.0, vec![]).says(subject.clone()),
+            Formula::pred(&opn.0, vec![Term::sym(object.0.clone())]).says(subject.clone()),
+        ]);
         let proof = match supplied {
             Some(p) => Some(HeldProof::Supplied(p)),
             None => self
@@ -429,22 +434,25 @@ impl Nexus {
         // set. Cached allows on that path stay valid because labels
         // only ever *leave* a store via the revocation fence, which
         // bumps the removal epoch and clears the cache.
-        let auto_goal = (proof.is_none() && cfg.auto_prove).then(|| {
+        let auto_prove = proof.is_none() && cfg.auto_prove;
+        let own_goal = open_goal.filter(|_| auto_prove).map(|goal| {
             let probe = AccessRequest {
                 subject: &subject,
                 operation: opn,
                 object,
                 proof: None,
-                labels: &labels,
+                labels: Creds::new(&held),
             };
             Guard::instantiate_goal(goal, &probe)
         });
         Ok(PreparedRequest {
             subject,
             digest,
-            labels,
+            held,
+            uttered,
             proof,
-            auto_goal,
+            auto_prove,
+            own_goal,
             refuted: None,
         })
     }
@@ -454,18 +462,22 @@ impl Nexus {
     /// prover: one persistent `ProofSearch` session whose memo is
     /// shared by the slice (and by subsequent ones) and flushed
     /// whenever the label-removal epoch moves — a memoized subgoal can
-    /// never outlive the credential movement that falsified it. Goals
-    /// were instantiated per request (`$subject` differs); ground goals
-    /// instantiate to themselves and share one frontier group.
-    fn auto_prove_prepared(&self, prepared: &mut [Result<PreparedRequest<'_>, KernelError>]) {
-        let goals: Vec<BatchGoal<'_>> = prepared
+    /// never outlive the credential movement that falsified it. A goal
+    /// with variables was instantiated per request (`$subject`
+    /// differs); a ground `goal` is every request's instance, handed
+    /// to the prover as the one reference it normalises once.
+    fn auto_prove_prepared(
+        &self,
+        goal: &Formula,
+        prepared: &mut [Result<PreparedRequest<'_>, KernelError>],
+    ) {
+        let goals: Vec<PreparedGoal<'_>> = prepared
             .iter()
             .flatten()
-            .filter_map(|p| {
-                p.auto_goal.as_ref().map(|goal| BatchGoal {
-                    goal,
-                    credentials: &p.labels,
-                })
+            .filter(|p| p.auto_prove)
+            .map(|p| PreparedGoal {
+                goal: p.own_goal.as_ref().unwrap_or(goal),
+                credentials: p.credentials(),
             })
             .collect();
         if goals.is_empty() {
@@ -473,11 +485,8 @@ impl Nexus {
         }
         let outcomes =
             self.guard
-                .prove_batch_explained(self.prover_epoch(), &goals, ProverConfig::default());
-        let needy = prepared
-            .iter_mut()
-            .flatten()
-            .filter(|p| p.auto_goal.is_some());
+                .prove_prepared(self.prover_epoch(), &goals, ProverConfig::default());
+        let needy = prepared.iter_mut().flatten().filter(|p| p.auto_prove);
         for (p, out) in needy.zip(outcomes) {
             p.proof = out.proof.map(HeldProof::Proved);
             p.refuted = out.refuted;
@@ -579,16 +588,32 @@ struct PreparedRequest<'a> {
     subject: Principal,
     /// `subject` as the decision cache fills for it.
     digest: SubjectDigest,
-    labels: Vec<Formula>,
+    /// The subject's labels, as its store prepared them when they last
+    /// changed: shared, not copied.
+    held: Arc<CredSet>,
+    /// The request's own two utterances.
+    uttered: CredSet,
     proof: Option<HeldProof<'a>>,
-    /// The goal instantiated for this request, present exactly when it
-    /// arrived without a supplied or stored proof and auto-proving is
-    /// on — `proof` is then whatever the prover constructed.
-    auto_goal: Option<Formula>,
+    /// Set exactly when the request arrived without a supplied or
+    /// stored proof and auto-proving is on — `proof` is then whatever
+    /// the prover constructed.
+    auto_prove: bool,
+    /// The slice's goal instantiated for this request: only for an
+    /// auto-proved request, and only when that goal has variables (a
+    /// ground goal is its own instance).
+    own_goal: Option<Formula>,
     /// For auto-proved requests whose search failed: the deepest
     /// subgoal the prover refuted (the "why" behind a deny), carried
     /// into the audit journal.
     refuted: Option<Formula>,
+}
+
+impl PreparedRequest<'_> {
+    /// What the request is evaluated against: the subject's prepared
+    /// labels, then its own utterances.
+    fn credentials(&self) -> Creds<'_> {
+        Creds::new(&self.held).with_request(&self.uttered)
+    }
 }
 
 fn verdict_of(allow: bool) -> AuditVerdict {

@@ -1,9 +1,19 @@
 //! Labelstore system calls, the analyzer-credential and replication
-//! hooks, and the two doors every credential write goes through: a
-//! label enters a store only through [`Nexus::deposit`] and leaves one
-//! only through [`Nexus::withdraw`], which owns the revocation fence.
-//! The public entry points are a door call plus their own counter and
-//! journal line.
+//! hooks, and the doors every credential write goes through. A label
+//! the kernel itself vouches for (port bindings, ownership, analyzer
+//! and replicated credentials, the receiving end of a transfer) enters
+//! a store only through [`Nexus::deposit`], the one caller of
+//! `LabelStore::insert` here; a label a process states enters through
+//! `LabelStore::say` ([`Nexus::sys_say`], which checks the speaker) and
+//! one it imports through `LabelStore::import`
+//! ([`Nexus::import_cert`], which verifies the chain) — and both of
+//! those end in that same `LabelStore::insert`, which is what drops
+//! the store's prepared credential set, so the next evaluation
+//! prepares it afresh and every one after that shares it. A label
+//! leaves a store only through [`Nexus::withdraw`], the one caller of
+//! `LabelStore::delete`, which drops the set likewise and owns the
+//! revocation fence. The public entry points are a door call plus
+//! their own counter and journal line.
 
 use super::Nexus;
 use crate::error::KernelError;
@@ -24,8 +34,9 @@ enum Withdrawn {
 impl Nexus {
     // ---- the two doors ----
 
-    /// The way in: the only caller of `LabelStore::insert` (an addition
-    /// can only turn an uncached deny into an allow, so no fence).
+    /// The way in for kernel-vouched labels: the only caller of
+    /// `LabelStore::insert` (an addition can only turn an uncached deny
+    /// into an allow, so no fence).
     /// Takes the locked table so [`Nexus::withdraw`] can re-deposit
     /// under the lock it already holds.
     fn deposit(ipds: &mut IpdTable, pid: u64, label: Label) -> Result<LabelHandle, KernelError> {

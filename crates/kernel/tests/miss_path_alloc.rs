@@ -1,14 +1,19 @@
-//! A proved allow has an allocation budget (ISSUE 18): once a goal has
-//! been searched, an `authorize` that misses the decision cache
-//! normalises the requester's credentials, probes the prover's
-//! `Checked` witness, matches its distinct leaves and fills the cache —
-//! it copies no proof, renders none to JSON and searches nothing.
+//! A proved allow has an allocation budget (ISSUE 18, tightened by
+//! ISSUE 21): once a goal has been searched, an `authorize` that
+//! misses the decision cache takes the requester's credentials as the
+//! labelstore prepared them when they last changed (one `Arc` clone),
+//! builds and prepares only the request's own two utterances, probes
+//! the prover's `Checked` witness by its leaves' keys, matches those
+//! same leaves in the guard and fills the cache — it copies no label
+//! and no proof, normalises no held credential and no ground goal per
+//! request, renders nothing to JSON and searches nothing.
 //! Counted, not timed, by the same counting global allocator as
 //! `hit_path_alloc.rs`, over the `miss_prove` benchmark's world: an
 //! 8-conjunct goal, a 10-hop hand-off chain and 8 payload labels per
 //! subject, 256 subjects on the 16 slots of one object's subregion.
-//! (The tree before this budget spent 5 791 allocations and 385 KB per
-//! call here.)
+//! (The tree before the first budget spent 5 791 allocations and
+//! 385 KB per call here; the one that prepared the set per request,
+//! 446.)
 
 use nexus_core::ResourceId;
 use nexus_kernel::Nexus;
@@ -49,7 +54,7 @@ const SUBJECTS: usize = 256;
 const CHAIN: usize = 10;
 const WIDTH: usize = 8;
 const CALLS: usize = 1_000;
-const BUDGET_PER_CALL: u64 = 800;
+const BUDGET_PER_CALL: u64 = 200;
 
 /// Allocations this thread makes while `f` runs.
 fn allocations_during(f: impl FnOnce()) -> u64 {

@@ -27,6 +27,7 @@
 //! guard's §2.9 memo and the kernel between them all pass the witness
 //! around behind an `Arc` instead of re-deriving (or copying) it.
 
+use crate::creds::normal_key;
 use crate::error::CheckError;
 use crate::formula::Formula;
 use crate::proof::Proof;
@@ -137,6 +138,10 @@ pub struct Leaf {
     pub stated: Formula,
     /// Its normal form — what a label set is probed with.
     pub normal: Formula,
+    /// [`normal_key`] of `normal`, computed once with the witness so a
+    /// probe of a prepared set ([`Creds::holds_leaf`](crate::Creds::holds_leaf))
+    /// hashes nothing.
+    pub key: u64,
 }
 
 /// A proof the checker has accepted over its own leaves, with what
@@ -242,6 +247,7 @@ pub fn check_own_leaves(proof: Proof) -> Result<Checked, CheckError> {
             seen.insert(normal.clone());
             leaves.push(Leaf {
                 stated: stated.clone(),
+                key: normal_key(&normal),
                 normal,
             });
         }

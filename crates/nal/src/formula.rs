@@ -174,9 +174,21 @@ impl Formula {
         out
     }
 
-    /// True if the formula contains no goal variables.
+    /// True if the formula contains no goal variables: the walk
+    /// [`Formula::vars`] makes, stopped at the first one and
+    /// collecting nothing.
     pub fn is_ground(&self) -> bool {
-        self.vars().is_empty()
+        match self {
+            Formula::True | Formula::False => true,
+            Formula::Pred(_, args) => args.iter().all(Term::is_ground),
+            Formula::Cmp(_, a, b) => a.is_ground() && b.is_ground(),
+            Formula::Says(p, s) => !p.has_var() && s.is_ground(),
+            Formula::SpeaksFor { from, to, .. } => !from.has_var() && !to.has_var(),
+            Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) => {
+                a.is_ground() && b.is_ground()
+            }
+            Formula::Not(a) => a.is_ground(),
+        }
     }
 
     /// All goal-variable names occurring in the formula, in first-seen
@@ -426,6 +438,44 @@ mod tests {
         assert_eq!(f.vars(), vec!["X", "F"]);
         assert!(!f.is_ground());
         assert!(Formula::True.is_ground());
+    }
+
+    #[test]
+    fn groundness_is_the_absence_of_vars() {
+        let var_term = Term::var("F");
+        let var_prin = Principal::var("X");
+        let atom = Formula::pred("a", vec![Term::sym("b")]);
+        let cases = [
+            Formula::True,
+            Formula::False,
+            atom.clone(),
+            Formula::pred("openFile", vec![var_term.clone()]),
+            Formula::pred(
+                "f",
+                vec![Term::app("g", vec![Term::int(1), var_term.clone()])],
+            ),
+            Formula::pred("f", vec![Term::Prin(p("A").sub("x"))]),
+            Formula::pred("f", vec![Term::Prin(var_prin.clone().sub("x"))]),
+            Formula::cmp(CmpOp::Lt, Term::sym("TimeNow"), Term::int(3)),
+            Formula::cmp(CmpOp::Lt, Term::sym("TimeNow"), var_term.clone()),
+            Formula::cmp(CmpOp::Eq, var_term.clone(), Term::str("s")),
+            atom.clone().says(p("A")),
+            atom.clone().says(var_prin.clone()),
+            Formula::pred("openFile", vec![var_term.clone()]).says(var_prin.clone()),
+            Formula::speaksfor(p("A"), p("B")),
+            Formula::speaksfor(var_prin.clone(), p("B")),
+            Formula::speaksfor_on(p("A"), var_prin.clone().sub("y"), ["TimeNow"]),
+            atom.clone().and(atom.clone().says(var_prin.clone())),
+            atom.clone().says(var_prin.clone()).or(atom.clone()),
+            atom.clone()
+                .implies(Formula::pred("g", vec![var_term.clone()])),
+            atom.clone().implies(atom.clone()).not(),
+            Formula::pred("g", vec![var_term]).not(),
+        ];
+        for f in &cases {
+            assert_eq!(f.is_ground(), f.vars().is_empty(), "{f}");
+        }
+        assert_eq!(cases.iter().filter(|f| f.is_ground()).count(), 8);
     }
 
     #[test]

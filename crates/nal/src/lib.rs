@@ -22,6 +22,9 @@
 //!   this; proof *search* is undecidable and therefore the client's
 //!   job), and [`Checked`] — the witness that a proof passed it over
 //!   its own leaves, so that only leaf membership is asked again,
+//! * [`CredSet`] / [`Creds`] — a credential set prepared once per
+//!   change (normalised, keyed, sorted) and the layered view prover
+//!   and guard probe,
 //! * [`search`](search::prove) — a bounded backward-chaining prover that
 //!   clients use to assemble proofs from their credentials; its
 //!   [`ProofSearch`] session form memoizes proved/refuted subgoals so
@@ -63,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+pub mod creds;
 pub mod error;
 pub mod formula;
 pub mod lexer;
@@ -75,13 +79,14 @@ pub mod term;
 pub mod worldview;
 
 pub use check::{check, check_own_leaves, normalize, Assumptions, Checked, Leaf};
+pub use creds::{credential_fingerprint, normal_key, CredSet, Creds};
 pub use error::{CheckError, ParseError};
 pub use formula::{CmpOp, Formula};
 pub use parser::{parse, parse_principal, parse_term};
 pub use principal::Principal;
 pub use proof::Proof;
 pub use search::{
-    credential_fingerprint, prove, BatchGoal, ProofSearch, ProveOutcome, ProverConfig, SearchStats,
+    prove, BatchGoal, PreparedGoal, ProofSearch, ProveOutcome, ProverConfig, SearchStats,
 };
 pub use subst::Subst;
 pub use term::Term;

@@ -30,18 +30,21 @@
 //!
 //! A *finished* search is checked once, when it is assembled
 //! ([`check_own_leaves`]), and remembered as an `Arc<`[`Checked`]`>`.
-//! A later request for the same normalised goal costs one pass over
-//! the requester's credentials (normalised once, shared by grouping,
-//! the memo probe and the search), a probe of the witness's distinct
-//! leaves against them, and a refcount: nothing is searched, nothing
-//! is re-checked, nothing proof-sized is copied, and the hand-off
-//! edges a search would walk are not even built. That is sound by the
-//! checker's lemma (see [`mod@crate::check`]): "sound over its own leaves"
-//! was established when the witness was built, "every leaf held" is
-//! what the probe asks. The one `debug_assert!` in this module re-runs
-//! the full checker on every proof a session hands out, so each
-//! debug-profile test run cross-checks the lemma on every splice it
-//! performs; release builds rely on it. Subgoals proved on the way
+//! A later request for the same normalised goal costs a probe of the
+//! witness's distinct leaves — each by the key it carries — against
+//! the requester's *prepared* credentials ([`Creds`]: normalised,
+//! keyed and sorted when they last changed, not when they are asked;
+//! shared by grouping, the memo probe and the search) and a refcount:
+//! nothing is normalised, searched or re-checked, nothing proof-sized
+//! is copied, and the hand-off edges a search would walk are not even
+//! built. [`ProofSearch::prove_prepared`] is the one way in; the raw
+//! [`BatchGoal`] door prepares its credentials and takes it. That is
+//! sound by the checker's lemma (see [`mod@crate::check`]): "sound over
+//! its own leaves" was established when the witness was built, "every
+//! leaf held" is what the probe asks. The one `debug_assert!` in this
+//! module re-runs the full checker on every proof a session hands out,
+//! so each debug-profile test run cross-checks the lemma on every
+//! splice it performs; release builds rely on it. Subgoals proved on the way
 //! stay raw proofs: they are copied into the proof under construction
 //! and validated inside it when *that* becomes `Checked`.
 //!
@@ -53,11 +56,13 @@
 //! [`prove`] remains the one-shot entry point: it runs a fresh
 //! throwaway session per call.
 
-use crate::check::{check, check_own_leaves, normalize, Assumptions, Checked};
+use crate::check::{check, check_own_leaves, normalize, Assumptions, Checked, Leaf};
+use crate::creds::{CredSet, Creds};
 use crate::formula::Formula;
 use crate::principal::Principal;
 use crate::proof::Proof;
 use crate::term::Term;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -110,6 +115,17 @@ pub struct BatchGoal<'a> {
     pub credentials: &'a [Formula],
 }
 
+/// One request's goal and *prepared* credentials in a prover batch:
+/// what [`ProofSearch::prove_prepared`] takes.
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedGoal<'a> {
+    /// The already-instantiated goal formula to prove. Members given
+    /// the same reference share one normalisation.
+    pub goal: &'a Formula,
+    /// The credentials this request holds.
+    pub credentials: Creds<'a>,
+}
+
 /// One request's outcome from an explained prover call: the proof if
 /// the search succeeded, otherwise the *refutation witness* — the most
 /// specific (deepest-recursion) subgoal the search refuted under the
@@ -160,12 +176,19 @@ impl Derivation {
         }
     }
 
-    fn held_by(&self, creds: &Creds<'_>) -> bool {
+    fn held_by(&self, creds: Creds<'_>) -> bool {
         match self {
             Derivation::Sub { leaves, .. } => leaves.iter().all(|l| creds.holds(l)),
-            Derivation::Top(witness) => witness.first_missing(|l| creds.holds(l)).is_none(),
+            Derivation::Top(witness) => holds_leaves(creds, witness),
         }
     }
+}
+
+/// The per-request half of the checker's lemma, asked of a prepared
+/// set: every distinct leaf of `witness` is held.
+fn holds_leaves(creds: Creds<'_>, witness: &Checked) -> bool {
+    let held = |leaf: &Leaf| creds.holds_leaf(leaf.key, &leaf.normal);
+    witness.leaves().iter().all(held)
 }
 
 /// The session-owned memo state shared by every search the session
@@ -192,13 +215,13 @@ impl SessionState {
     }
 
     /// The first derivation of `ng` whose leaves `creds` holds.
-    fn recall(&self, ng: &Formula, creds: &Creds<'_>) -> Option<&Derivation> {
+    fn recall(&self, ng: &Formula, creds: Creds<'_>) -> Option<&Derivation> {
         self.proved.get(ng)?.iter().find(|d| d.held_by(creds))
     }
 
     /// The first *finished* derivation of `ng` whose leaves `creds`
     /// holds, to be served as is.
-    fn witness(&self, ng: &Formula, creds: &Creds<'_>) -> Option<Arc<Checked>> {
+    fn witness(&self, ng: &Formula, creds: Creds<'_>) -> Option<Arc<Checked>> {
         self.proved.get(ng)?.iter().find_map(|d| match d {
             Derivation::Top(witness) if d.held_by(creds) => Some(Arc::clone(witness)),
             _ => None,
@@ -213,44 +236,6 @@ impl SessionState {
             self.entries += 1;
         }
         kept.push_back(derivation);
-    }
-}
-
-/// A request's credentials, normalized once and shared by batch
-/// grouping, the memo probe and the search.
-struct Creds<'a> {
-    /// As the requester stated them: what delegation edges are read
-    /// from.
-    stated: &'a [Formula],
-    /// Their normal forms, sorted, duplicates dropped.
-    normal: Vec<Formula>,
-    /// Beside each normal form, the first credential stated with it:
-    /// the spelling a proof assumes.
-    spelled: Vec<&'a Formula>,
-}
-
-impl<'a> Creds<'a> {
-    fn new(stated: &'a [Formula]) -> Self {
-        let mut pairs: Vec<(Formula, &Formula)> =
-            stated.iter().map(|c| (normalize(c), c)).collect();
-        // Stable, so equal normal forms stay in credential order.
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        pairs.dedup_by(|later, first| later.0 == first.0);
-        let (normal, spelled) = pairs.into_iter().unzip();
-        Creds {
-            stated,
-            normal,
-            spelled,
-        }
-    }
-
-    /// The credential whose normal form is `ng`, as stated.
-    fn find(&self, ng: &Formula) -> Option<&'a Formula> {
-        self.normal.binary_search(ng).ok().map(|i| self.spelled[i])
-    }
-
-    fn holds(&self, ng: &Formula) -> bool {
-        self.normal.binary_search(ng).is_ok()
     }
 }
 
@@ -312,7 +297,8 @@ impl ProofSearch {
     /// mean the goal is underivable. Anything returned passes
     /// [`crate::check`](fn@crate::check::check) against `credentials`.
     pub fn prove(&mut self, goal: &Formula, credentials: &[Formula]) -> Option<Proof> {
-        let outcome = self.prove_normalized(goal, &normalize(goal), &Creds::new(credentials));
+        let set = CredSet::new(credentials);
+        let outcome = self.prove_normalized(goal, &normalize(goal), Creds::new(&set));
         outcome.proof.map(|witness| witness.proof().clone())
     }
 
@@ -335,25 +321,63 @@ impl ProofSearch {
     }
 
     /// [`ProofSearch::prove_batch`], with each failure explained by
-    /// its refutation witness (see [`ProveOutcome`]).
+    /// its refutation witness (see [`ProveOutcome`]). The raw door:
+    /// it prepares each member's credentials and proves them through
+    /// [`ProofSearch::prove_prepared`].
     pub fn prove_batch_explained(&mut self, goals: &[BatchGoal<'_>]) -> Vec<ProveOutcome> {
-        let normalized: Vec<(Formula, Creds<'_>)> = goals
+        let sets: Vec<CredSet> = goals.iter().map(|g| CredSet::new(g.credentials)).collect();
+        let prepared: Vec<PreparedGoal<'_>> = goals
             .iter()
-            .map(|g| (normalize(g.goal), Creds::new(g.credentials)))
+            .zip(&sets)
+            .map(|(g, set)| PreparedGoal {
+                goal: g.goal,
+                credentials: Creds::new(set),
+            })
             .collect();
-        // Grouping compares the actual normalized credential lists —
-        // never just their hashes — so a fingerprint collision cannot
-        // hand one request another's proof. (A stable sort: a group's
-        // members stay in input order, and its first one leads.)
-        let key = |i: usize| (&normalized[i].0, &normalized[i].1.normal);
+        self.prove_prepared(&prepared)
+    }
+
+    /// Prove a batch whose credentials are already prepared —
+    /// grouping, memo and search as [`ProofSearch::prove_batch`]
+    /// describes, normalising nothing but the goals, and each distinct
+    /// goal *reference* once (a slice sharing one ground goal shares
+    /// its normal form).
+    pub fn prove_prepared(&mut self, goals: &[PreparedGoal<'_>]) -> Vec<ProveOutcome> {
+        let mut normal_goals: Vec<(&Formula, Formula)> = Vec::new();
+        let goal_of: Vec<usize> = goals
+            .iter()
+            .map(|g| {
+                let seen = normal_goals
+                    .iter()
+                    .position(|(asked, _)| std::ptr::eq(*asked, g.goal));
+                seen.unwrap_or_else(|| {
+                    normal_goals.push((g.goal, normalize(g.goal)));
+                    normal_goals.len() - 1
+                })
+            })
+            .collect();
+        // Grouping compares the actual normal forms — goal, then the
+        // credential layers — never just their keys, so a collision
+        // cannot hand one request another's proof. (A stable sort: a
+        // group's members stay in input order, and its first one
+        // leads.)
+        let cmp = |&a: &usize, &b: &usize| {
+            let (ga, gb) = (goal_of[a], goal_of[b]);
+            let by_goal = if ga == gb {
+                Ordering::Equal
+            } else {
+                normal_goals[ga].1.cmp(&normal_goals[gb].1)
+            };
+            by_goal.then_with(|| goals[a].credentials.grouping_cmp(goals[b].credentials))
+        };
         let mut order: Vec<usize> = (0..goals.len()).collect();
-        order.sort_by(|&a, &b| key(a).cmp(&key(b)));
+        order.sort_by(cmp);
         let mut out: Vec<Option<ProveOutcome>> = vec![None; goals.len()];
-        for members in order.chunk_by(|&a, &b| key(a) == key(b)) {
+        for members in order.chunk_by(|a, b| cmp(a, b).is_eq()) {
             self.session.stats.batch_groups += 1;
             let lead = members[0];
-            let (ng, creds) = &normalized[lead];
-            let outcome = self.prove_normalized(goals[lead].goal, ng, creds);
+            let ng = &normal_goals[goal_of[lead]].1;
+            let outcome = self.prove_normalized(goals[lead].goal, ng, goals[lead].credentials);
             if outcome.proof.is_some() {
                 // Counted only when something was actually spliced: a
                 // failed group search shares the *refutation*, not a
@@ -388,12 +412,7 @@ impl ProofSearch {
     /// Prove `goal` (`ng` normalized) for the holder of `creds`: from
     /// the memo when a finished search for it rests only on leaves the
     /// requester holds, by searching otherwise.
-    fn prove_normalized(
-        &mut self,
-        goal: &Formula,
-        ng: &Formula,
-        creds: &Creds<'_>,
-    ) -> ProveOutcome {
+    fn prove_normalized(&mut self, goal: &Formula, ng: &Formula, creds: Creds<'_>) -> ProveOutcome {
         let outcome = match self.session.witness(ng, creds) {
             Some(witness) => {
                 self.session.stats.memo_hits += 1;
@@ -410,7 +429,7 @@ impl ProofSearch {
         // requester's own credentials.
         debug_assert!(
             outcome.proof.as_deref().is_none_or(|witness| matches!(
-                check(witness.proof(), &Assumptions::from_iter(creds.stated)),
+                check(witness.proof(), &Assumptions::from_iter(creds.stated())),
                 Ok(concl) if normalize(&concl) == *ng
             )),
             "a proof left the session that `check` rejects for its requester"
@@ -418,17 +437,19 @@ impl ProofSearch {
         outcome
     }
 
-    fn search(&mut self, goal: &Formula, ng: &Formula, creds: &Creds<'_>) -> ProveOutcome {
+    fn search(&mut self, goal: &Formula, ng: &Formula, creds: Creds<'_>) -> ProveOutcome {
         let mut s = Search {
             creds,
-            fp: fingerprint_normalized(&creds.normal),
+            // Asked for here and nowhere else: only a search scopes
+            // refutations, and a served witness never gets this far.
+            fp: creds.fingerprint(),
             cfg: self.cfg,
             subgoals: 0,
             budget_exhausted: false,
             hypotheses: Vec::new(),
             witness: None,
             root_memoizable: false,
-            handoff_edges: compute_handoff_edges(creds.stated),
+            handoff_edges: compute_handoff_edges(creds),
             session: &mut self.session,
         };
         let proof = s.solve(goal, self.cfg.max_depth);
@@ -443,9 +464,7 @@ impl ProofSearch {
         // the goal from leaves the requester holds.
         let proof = proof
             .and_then(|p| check_own_leaves(p).ok())
-            .filter(|w| {
-                w.normal_conclusion() == ng && w.first_missing(|l| creds.holds(l)).is_none()
-            })
+            .filter(|w| w.normal_conclusion() == ng && holds_leaves(creds, w))
             .map(Arc::new);
         match proof {
             Some(witness) => {
@@ -466,40 +485,8 @@ impl ProofSearch {
     }
 }
 
-/// Order-insensitive fingerprint of a credential set (normalized,
-/// sorted, deduplicated). Two credential sets holding the same
-/// formulas — regardless of order or `¬`/`→ false` spelling —
-/// fingerprint identically. [`ProofSearch`] uses it to scope
-/// memoized refutations; it is exported for diagnostics and tests.
-/// (The async pipeline's batch-coalescing hint is a *different*,
-/// incrementally-maintained hash: `LabelStore::shape` in
-/// `nexus-core`.)
-pub fn credential_fingerprint(credentials: &[Formula]) -> u128 {
-    let mut norm: Vec<Formula> = credentials.iter().map(normalize).collect();
-    norm.sort_unstable();
-    norm.dedup();
-    fingerprint_normalized(&norm)
-}
-
-fn fingerprint_normalized(norm: &[Formula]) -> u128 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    // Two independently-seeded 64-bit SipHashes; DefaultHasher::new()
-    // is keyed deterministically, so fingerprints are stable within a
-    // process (all they are ever compared against).
-    let mut hi = DefaultHasher::new();
-    let mut lo = DefaultHasher::new();
-    0xa5a5_5a5au32.hash(&mut hi);
-    0x1234_fedcu32.hash(&mut lo);
-    for f in norm {
-        f.hash(&mut hi);
-        f.hash(&mut lo);
-    }
-    ((hi.finish() as u128) << 64) | hi.finish().wrapping_add(lo.finish()) as u128
-}
-
 struct Search<'a> {
-    creds: &'a Creds<'a>,
+    creds: Creds<'a>,
     /// Fingerprint of the credential set (scopes refutation memos).
     fp: u128,
     cfg: ProverConfig,
@@ -581,10 +568,10 @@ fn subprin_chain(from: &Principal, to: &Principal) -> Option<Proof> {
 }
 
 fn compute_handoff_edges(
-    credentials: &[Formula],
+    credentials: Creds<'_>,
 ) -> Vec<(Principal, Principal, Option<Scope>, Proof)> {
     let mut out = Vec::new();
-    for c in credentials {
+    for c in credentials.stated() {
         if let Formula::Says(speaker, inner) = c {
             if let Formula::SpeaksFor { from, to, scope } = inner.as_ref() {
                 if speaker == to {
@@ -671,7 +658,7 @@ impl<'a> Search<'a> {
     }
 
     fn solve(&mut self, goal: &Formula, depth: usize) -> Option<Proof> {
-        if !self.budget() || !goal.vars().is_empty() {
+        if !self.budget() || !goal.is_ground() {
             return None;
         }
         // The first subgoal a search counts is its root.
@@ -801,8 +788,7 @@ impl<'a> Search<'a> {
         let ns = normalize(s);
         let speakers: Vec<(Principal, Formula)> = self
             .creds
-            .stated
-            .iter()
+            .stated()
             .filter_map(|c| match c {
                 Formula::Says(q, inner) if normalize(inner) == ns => Some((q.clone(), c.clone())),
                 _ => None,
@@ -821,8 +807,7 @@ impl<'a> Search<'a> {
         // Distribution: credential p says (x -> s); prove p says x.
         let candidates: Vec<(Formula, Formula)> = self
             .creds
-            .stated
-            .iter()
+            .stated()
             .filter_map(|c| match c {
                 Formula::Says(q, inner) if q == p => match normalize(inner) {
                     Formula::Implies(x, b) if *b == ns => Some((c.clone(), (*x).clone())),
@@ -872,7 +857,7 @@ impl<'a> Search<'a> {
             if steps > MAX_EXPANSIONS {
                 return None;
             }
-            for c in self.creds.stated {
+            for c in self.creds.stated() {
                 if let Formula::SpeaksFor {
                     from: a,
                     to: b,
@@ -940,7 +925,7 @@ impl<'a> Search<'a> {
             proof = Proof::SpeaksForTrans(Box::new(proof), Box::new(step));
         }
         // Sanity: conclusion should match the goal.
-        let asm = Assumptions::from_iter(self.creds.stated);
+        let asm = Assumptions::from_iter(self.creds.stated());
         match check(&proof, &asm) {
             Ok(c) if normalize(&c) == normalize(goal) => Some(proof),
             _ => None,
@@ -952,6 +937,7 @@ impl<'a> Search<'a> {
 mod tests {
     use super::*;
     use crate::check::check;
+    use crate::creds::credential_fingerprint;
     use crate::parser::parse;
 
     fn creds(labels: &[&str]) -> Vec<Formula> {

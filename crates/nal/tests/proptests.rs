@@ -10,7 +10,8 @@
 
 use nexus_nal::check::{check, check_own_leaves, normalize, Assumptions};
 use nexus_nal::{
-    parse, prove, BatchGoal, CmpOp, Formula, Principal, Proof, ProofSearch, ProverConfig, Term,
+    normal_key, parse, prove, BatchGoal, CmpOp, CredSet, Creds, Formula, PreparedGoal, Principal,
+    Proof, ProofSearch, ProveOutcome, ProverConfig, Term,
 };
 use std::cell::Cell;
 use std::collections::BTreeSet;
@@ -549,5 +550,168 @@ fn shrinking_reports_minimal_depth() {
     assert!(
         msg.contains("minimal depth 2 of 8"),
         "halve-and-retry must land on depth 2 (8→4→2→1 passes), got: {msg}"
+    );
+}
+
+impl Gen {
+    /// A credential list the way requesters state them: random
+    /// formulas, some stated twice, some stated again under the other
+    /// spelling of a negation (`not x` / `x -> false`), in no order.
+    fn credentials(&mut self, depth: u64) -> Vec<Formula> {
+        let mut creds = Vec::new();
+        for _ in 0..self.below(7) {
+            let c = self.formula(depth);
+            match self.below(5) {
+                0 => creds.push(c.clone()),
+                1 => creds.push(normalize(&c)),
+                2 => {
+                    creds.push(c.clone().not());
+                    creds.push(c.clone().implies(Formula::False));
+                }
+                _ => {}
+            }
+            let at = self.below(creds.len() as u64 + 1) as usize;
+            creds.insert(at, c);
+        }
+        creds
+    }
+}
+
+/// A prepared set answers what the raw credentials answer: membership
+/// as `Assumptions` decides it, for one layer and for two layers
+/// against their concatenation; `stated()` is the input, spelling and
+/// order intact; `find` is the first credential stated with that
+/// normal form.
+#[test]
+fn prepared_credentials_answer_as_the_raw_ones_do() {
+    let (held, missing, respelled) = (Cell::new(0), Cell::new(0), Cell::new(0));
+    for case in 0..CASES {
+        check_shrunk(case ^ 0x7777, 3, |seed, depth| {
+            let mut g = Gen::new(seed);
+            let creds = g.credentials(depth);
+            let split = g.below(creds.len() as u64 + 1) as usize;
+            let (set, head, tail) = (
+                CredSet::new(&creds),
+                CredSet::new(&creds[..split]),
+                CredSet::new(&creds[split..]),
+            );
+            let flat = Creds::new(&set);
+            let layered = Creds::new(&head).with_request(&tail);
+            let asm = Assumptions::from_iter(creds.iter());
+            if set.len() != creds.len() || !flat.stated().eq(&creds) || !layered.stated().eq(&creds)
+            {
+                return Err(format!("stated() is not what was stated: {creds:?}"));
+            }
+            let strangers: Vec<Formula> = (0..4).map(|_| g.formula(depth)).collect();
+            let flipped = creds.iter().map(|c| c.clone().not().not());
+            for f in creds.iter().cloned().chain(flipped).chain(strangers) {
+                let nf = normalize(&f);
+                let want = asm.contains(&f);
+                let key = normal_key(&nf);
+                for (name, view) in [("flat", flat), ("layered", layered)] {
+                    if view.holds(&nf) != want || view.holds_leaf(key, &nf) != want {
+                        return Err(format!("{name} view holds {f}: expected {want}"));
+                    }
+                    let first = creds.iter().find(|c| normalize(c) == nf);
+                    if view.find(&nf) != first {
+                        return Err(format!("{name} view finds {:?} for {f}", view.find(&nf)));
+                    }
+                    if first.is_some_and(|c| *c != nf) {
+                        respelled.set(respelled.get() + 1);
+                    }
+                }
+                let tally = if want { &held } else { &missing };
+                tally.set(tally.get() + 1);
+            }
+            Ok(())
+        });
+    }
+    assert!(
+        held.get() >= CASES && missing.get() >= CASES && respelled.get() >= CASES / 4,
+        "{held:?} held, {missing:?} missing, {respelled:?} found under another spelling"
+    );
+}
+
+/// The raw `BatchGoal` door is the prepared entry behind a `CredSet`:
+/// over batches mixing provable and unprovable goals, shared and
+/// private credential lists, both return the same proof — or the same
+/// refutation — member for member.
+#[test]
+fn the_raw_door_returns_what_the_prepared_entry_returns() {
+    let (proved, failed) = (Cell::new(0), Cell::new(0));
+    for case in 0..CASES {
+        check_shrunk(case ^ 0x8888, 2, |seed, depth| {
+            let mut g = Gen::new(seed);
+            let lists: Vec<Vec<Formula>> = (0..1 + g.below(3))
+                .map(|_| {
+                    let mut creds = g.credentials(depth);
+                    // A chain to find, so that some goals need a search.
+                    let (a, b) = (g.principal(), g.principal());
+                    let said = g.formula(1);
+                    creds.push(Formula::speaksfor(a.clone(), b.clone()));
+                    creds.push(said.clone().says(a));
+                    creds.push(said.says(b).not());
+                    creds
+                })
+                .collect();
+            let members: Vec<(Formula, usize)> = (0..1 + g.below(6))
+                .map(|_| {
+                    let list = g.below(lists.len() as u64) as usize;
+                    let creds = &lists[list];
+                    let goal = match g.below(4) {
+                        0 => g.formula(depth),
+                        1 => creds[g.below(creds.len() as u64) as usize].clone(),
+                        2 => match &creds[creds.len() - 1] {
+                            Formula::Not(delegated) => (**delegated).clone(),
+                            other => other.clone(),
+                        },
+                        _ => {
+                            let c = creds[g.below(creds.len() as u64) as usize].clone();
+                            c.clone().and(c.not().not())
+                        }
+                    };
+                    (goal, list)
+                })
+                .collect();
+            let raw: Vec<BatchGoal<'_>> = members
+                .iter()
+                .map(|(goal, list)| BatchGoal {
+                    goal,
+                    credentials: &lists[*list],
+                })
+                .collect();
+            let sets: Vec<CredSet> = lists.iter().map(CredSet::new).collect();
+            let prepared: Vec<PreparedGoal<'_>> = members
+                .iter()
+                .map(|(goal, list)| PreparedGoal {
+                    goal,
+                    credentials: Creds::new(&sets[*list]),
+                })
+                .collect();
+            let cfg = ProverConfig::default();
+            let by_raw = ProofSearch::new(cfg).prove_batch_explained(&raw);
+            let by_prepared = ProofSearch::new(cfg).prove_prepared(&prepared);
+            let proofs_only = ProofSearch::new(cfg).prove_batch(&raw);
+            for (i, (a, b)) in by_raw.iter().zip(&by_prepared).enumerate() {
+                let proof = |o: &ProveOutcome| o.proof.as_ref().map(|w| w.proof().clone());
+                if proof(a) != proof(b) || a.refuted != b.refuted {
+                    return Err(format!("member {i} ({}): {a:?} vs {b:?}", members[i].0));
+                }
+                if proofs_only[i].as_ref().map(|w| w.proof()) != proof(a).as_ref() {
+                    return Err(format!("member {i}: prove_batch disagrees"));
+                }
+                if let Some(p) = proof(a) {
+                    let asm = Assumptions::from_iter(&lists[members[i].1]);
+                    check(&p, &asm).map_err(|e| format!("member {i}: unsound {e:?}"))?;
+                }
+                let tally = if a.proof.is_some() { &proved } else { &failed };
+                tally.set(tally.get() + 1);
+            }
+            Ok(())
+        });
+    }
+    assert!(
+        proved.get() >= CASES && failed.get() >= CASES / 4,
+        "both outcomes must be exercised: {proved:?} proved, {failed:?} failed"
     );
 }
