@@ -37,10 +37,10 @@
 //!
 //! Results are cached per (subject, image digest). Re-analysis after a
 //! binary change first **revokes** the previously minted credentials
-//! through the kernel's label-removal epoch machinery
+//! through the kernel's one removal door
 //! (`Nexus::revoke_credential`), so a stale attestation can never
-//! authorize — the decision cache and prover memo are flushed before
-//! the revocation returns.
+//! authorize — the subject's cached verdicts are out of reach and the
+//! prover memo is flushed before the revocation returns.
 
 use crate::bin::{BinaryImage, Function, Inst, Terminator};
 use crate::pylite::{self, Program};
@@ -448,8 +448,9 @@ impl AttestAnalyzer {
 
     /// Analyze `image` on behalf of `subject` and mint/refuse the
     /// binary claims. Cached per image digest; a changed digest
-    /// revokes the stale credentials (flushing the decision cache and
-    /// prover memo via the label-removal epoch) before re-analyzing.
+    /// revokes the stale credentials (retiring the subject's cached
+    /// verdicts, and flushing the prover memo via the label-removal
+    /// epoch) before re-analyzing.
     pub fn attest_binary(
         &self,
         nexus: &Nexus,

@@ -10,8 +10,8 @@
 //! same CertiPics upload gate:
 //!
 //! * **reanalyze-per-auth** — every upload is preceded by a forced
-//!   re-analysis (revoke → analyze → re-mint, flushing the decision
-//!   cache and prover memo through the label-removal epoch), so each
+//!   re-analysis (revoke → analyze → re-mint, retiring the encoder's
+//!   cached verdicts and flushing the prover memo), so each
 //!   authorization pays the full analysis plus an uncached proof;
 //! * **first-contact** — the one-time cost of registering an encoder:
 //!   analysis, minting, and the first (uncached) authorization;

@@ -55,6 +55,21 @@
 //!
 //! [`resize`]: DecisionCache::resize
 //!
+//! ## Invalidating one subject by renaming it
+//!
+//! A label removal can falsify only the verdicts of the subject that
+//! lost the label, and there is no index from a subject to its slots.
+//! So the subject is *renamed* instead: its owner keeps one monotone
+//! generation word per subject, [`DecisionCache::rename`] bumps it, and
+//! every probe and fill goes under [`SubjectDigest::at`] the generation
+//! it read. The fold reaches both keyed lanes and leaves the slot hash
+//! alone, so after a removal the subject's old entries can never match
+//! again — nothing is cleared, no other subject loses anything — and
+//! the subject's own next fill for a pair lands in the slot the dead
+//! entry occupies. What keeps this sound is one ordering rule, owed by
+//! the caller: *a verdict is filed under a generation read no later
+//! than the credentials it was computed from.*
+//!
 //! Fills are *epoch-validated*: [`DecisionCache::insert_if`] re-checks
 //! the caller's validity predicate inside the subregion writer lock,
 //! so a racing `setgoal` invalidation can never be overwritten by a
@@ -108,6 +123,27 @@ pub struct DecisionCacheConfig {
     pub subregion_slots: usize,
 }
 
+impl SubjectDigest {
+    /// This subject under its `generation`-th name (see the module
+    /// docs; generation 0 is the digest itself). Pure. Both keyed
+    /// lanes move, each by a bijection of `generation`, so one
+    /// subject's names never repeat and two subjects at one generation
+    /// differ exactly as their digests do; `slot` does not move, so a
+    /// renamed subject overwrites its own dead entries.
+    #[must_use]
+    pub fn at(self, generation: u64) -> SubjectDigest {
+        SubjectDigest {
+            slot: self.slot,
+            keyed: (
+                self.keyed.0 ^ generation.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                self.keyed
+                    .1
+                    .wrapping_add(generation.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)),
+            ),
+        }
+    }
+}
+
 impl Default for DecisionCacheConfig {
     fn default() -> Self {
         DecisionCacheConfig {
@@ -124,9 +160,13 @@ nexus_obs::counters! {
         hits: striped counter "nexus_dcache_hits_total" "decision-cache hits",
         /// Lookups that missed.
         misses: striped counter "nexus_dcache_misses_total" "decision-cache misses",
-        /// Entries cleared by invalidation.
+        /// Entries cleared: by a proof update, a `setgoal`, or
+        /// [`DecisionCache::clear`]. A rename clears nothing.
         invalidations: plain counter
-            "nexus_dcache_invalidations_total" "decision-cache epoch invalidations",
+            "nexus_dcache_invalidations_total" "decision-cache entries cleared by an invalidation",
+        /// Subjects renamed by a label removal ([`DecisionCache::rename`]).
+        renames: plain counter
+            "nexus_dcache_renames_total" "subjects renamed by a label removal",
         /// Insertions that displaced a colliding entry.
         collisions: plain counter
             "nexus_dcache_collisions_total" "decision-cache set-conflict evictions",
@@ -289,6 +329,18 @@ impl DecisionCache {
         }
     }
 
+    /// Retire every verdict filed for the subject whose generation word
+    /// this is, in O(1): the subject's next [`SubjectDigest::at`] is a
+    /// name no entry holds. `Release`, pairing with the `Acquire` load a
+    /// prober or an evaluator names the subject by: whoever reads the
+    /// new generation also sees what the caller did before the bump —
+    /// the label it deleted is gone from every credential set read
+    /// after it.
+    pub fn rename(&self, generation: &AtomicU64) {
+        generation.fetch_add(1, Ordering::Release);
+        self.counters.renames.add(1);
+    }
+
     /// One optimistic probe of a slot: `None` means a writer was
     /// mid-flight (odd or changed sequence) and the caller should
     /// retry. This is the crossbeam seqlock recipe — acquire the
@@ -399,6 +451,10 @@ impl DecisionCache {
     /// insert is skipped) or is still waiting on the writer lock
     /// (then it clears this entry right after). Returns whether the
     /// entry was stored.
+    ///
+    /// A renamed subject's dead entry is, to the table, another
+    /// tuple's live one: the subject's refill of the pair displaces it
+    /// and counts one collision.
     pub fn fill_if(
         &self,
         subject: SubjectDigest,
@@ -457,10 +513,10 @@ impl DecisionCache {
         })
     }
 
-    /// Drop everything (the cache is soft state). Each occupied slot
-    /// counts as an invalidation, so clear-based channels such as
-    /// `transfer_label` show up in the stats like subregion
-    /// invalidations do.
+    /// Drop everything (the cache is soft state); each occupied slot
+    /// counts as an invalidation. No kernel path calls this — a label
+    /// removal [renames](Self::rename) its one subject — it is for
+    /// embedders and probes that want an empty table.
     pub fn clear(&self) {
         self.table.read(|t, _| {
             for shard in &t.shards {
@@ -493,7 +549,9 @@ impl DecisionCache {
         self.counters.snapshot()
     }
 
-    /// Number of live entries.
+    /// Number of occupied slots. A renamed subject's dead entries
+    /// count until something overwrites or clears them: the table
+    /// cannot tell them from live ones.
     pub fn len(&self) -> usize {
         self.table.read(|t, _| {
             t.shards
@@ -784,6 +842,93 @@ mod tests {
                 assert!(std::ptr::eq(slot, &shard.slots[idx]), "slot of {k:?}");
             });
         }
+    }
+
+    // ---- a subject is invalidated by renaming it ----
+
+    #[test]
+    fn a_fill_is_reachable_under_its_own_generation_only() {
+        let c = DecisionCache::default();
+        let object = ResourceId("file:/x".into());
+        let d = c.digest(&Principal::name("alice"));
+        assert_eq!(d.at(0), d, "generation 0 is the digest itself");
+        for g in [0, 1, 7, u64::MAX - 1] {
+            assert!(c.fill_if(d.at(g), "read", &object, true, || true));
+            assert_eq!(c.probe(d.at(g), "read", &object), Some(true), "gen {g}");
+            assert_eq!(c.probe(d.at(g + 1), "read", &object), None, "gen {g}+1");
+            assert_eq!(
+                c.probe(d.at(g.wrapping_sub(1)), "read", &object),
+                None,
+                "gen {g}-1"
+            );
+        }
+        // Each generation's fill overwrote the one before it: one slot.
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.stats().collisions, 3);
+    }
+
+    #[test]
+    fn rename_retires_one_subject_and_clears_nothing() {
+        let c = DecisionCache::default();
+        let object = ResourceId("file:/x".into());
+        let (alice, bob) = (
+            c.digest(&Principal::name("alice")),
+            c.digest(&Principal::name("bob")),
+        );
+        let generation = AtomicU64::new(0);
+        let now = |d: SubjectDigest| d.at(generation.load(Ordering::Acquire));
+        assert!(c.fill_if(now(alice), "read", &object, true, || true));
+        assert!(c.fill_if(bob, "read", &object, true, || true));
+        c.rename(&generation);
+        assert_eq!(generation.load(Ordering::Acquire), 1);
+        assert_eq!(c.probe(now(alice), "read", &object), None);
+        assert_eq!(c.probe(bob, "read", &object), Some(true));
+        let s = c.stats();
+        assert_eq!((s.renames, s.invalidations), (1, 0));
+        assert_eq!(c.len(), 2, "the dead entry still occupies its slot");
+        // The subject's refill lands on its own dead entry.
+        assert!(c.fill_if(now(alice), "read", &object, false, || true));
+        assert_eq!(c.probe(now(alice), "read", &object), Some(false));
+        assert_eq!(c.len(), 2);
+        // And a proof update at the current name clears exactly it.
+        c.invalidate(now(alice), "read", &object);
+        assert_eq!(c.probe(now(alice), "read", &object), None);
+        assert_eq!(c.probe(bob, "read", &object), Some(true));
+    }
+
+    #[test]
+    fn generations_move_the_name_never_the_slot_and_subjects_never_alias() {
+        // One subregion of one slot: every tuple below shares the slot,
+        // so only the fingerprint tells any two of them apart.
+        let c = DecisionCache::new(DecisionCacheConfig {
+            total_slots: 1,
+            subregion_slots: 1,
+        });
+        let object = ResourceId("file:/x".into());
+        let subjects: Vec<SubjectDigest> = (0..64)
+            .map(|i| c.digest(&Principal::name(format!("/proc/ipd/{i}"))))
+            .collect();
+        for g in [0u64, 1, 2, 1 << 32, u64::MAX] {
+            let mut names = std::collections::HashSet::new();
+            for &d in &subjects {
+                assert_eq!(d.at(g).slot, d.slot, "slot is generation-independent");
+                assert!(names.insert(d.at(g).keyed), "two subjects alias at {g}");
+            }
+            for (i, &d) in subjects.iter().enumerate() {
+                assert!(c.fill_if(d.at(g), "read", &object, true, || true));
+                let other = subjects[(i + 1) % subjects.len()];
+                assert_eq!(c.probe(other.at(g), "read", &object), None);
+                assert_eq!(c.probe(d.at(g), "read", &object), Some(true));
+            }
+        }
+        // The placement contract holds at every generation.
+        let wide = DecisionCache::default();
+        let d = wide.digest(&Principal::name("alice"));
+        wide.table.read(|t, _| {
+            let at = |g| t.locate(d.at(g), "read", &object);
+            assert!(std::ptr::eq(at(0).1, at(9).1), "same slot");
+            assert_ne!(at(0).2, at(9).2, "different fingerprint");
+        });
     }
 
     // ---- seqlock sabotage tests (ISSUE 6): force the race windows ----

@@ -14,9 +14,11 @@
 //!
 //! Revocation is the load-bearing case. When a revocation op is
 //! delivered at a node, the [`node`] layer applies it through
-//! [`nexus_kernel::Nexus::apply_remote_revoke`], which runs the full
-//! revocation fence — label-removal epoch bump, decision-cache clear,
-//! pipeline quiesce. That extends the single-kernel no-stale-allow
+//! [`nexus_kernel::Nexus::apply_remote_revoke`], which takes the
+//! kernel's one removal door: the named subject is renamed in the
+//! decision cache — every other subject's verdicts stay cached — and
+//! the revocation fence runs (label-removal epoch bump, pipeline
+//! quiesce). That extends the single-kernel no-stale-allow
 //! invariant across the cluster: after delivery at node N, no
 //! authorization on N can return an allow backed by the revoked
 //! credential. (Between the origin's broadcast and delivery at N,

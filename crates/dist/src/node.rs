@@ -5,10 +5,12 @@
 //! or-set; only *presence flips* touch the kernel. A record going
 //! absent→present becomes [`Nexus::apply_remote_mint`] into the
 //! subject's labelstore; present→absent becomes
-//! [`Nexus::apply_remote_revoke`], which runs the full revocation
-//! fence (epoch bump, decision-cache clear, pipeline quiesce) — so
-//! the moment a revocation is *delivered* at this node, no stale
-//! allow can complete here. The or-set's idempotence guarantees the
+//! [`Nexus::apply_remote_revoke`], which leaves through the kernel's
+//! one removal door: the subject the op names is renamed in this
+//! node's decision cache (nobody else's verdicts are touched) and the
+//! revocation fence runs (epoch bump, pipeline quiesce) — so the
+//! moment a revocation is *delivered* at this node, no stale allow
+//! can complete here. The or-set's idempotence guarantees the
 //! kernel sees each flip exactly once no matter how the network
 //! duplicates or reorders the underlying messages.
 

@@ -3,6 +3,7 @@
 //! under a read stamp, and validate the stamp before any verdict
 //! leaves.
 
+use super::process::IpdHot;
 use super::{Nexus, NexusConfig};
 use crate::error::KernelError;
 use nexus_authzd::{AuthzOutcome, AuthzRequest, AuthzTicket};
@@ -112,11 +113,10 @@ impl Nexus {
         object: &ResourceId,
         inline_proof: Option<&Proof>,
     ) -> Result<AuthzRoute, KernelError> {
-        // The hot-index read resolves the subject's cache digest and
-        // the live label shape with zero locks — the submission path
-        // never waits behind a spawn or a `say`.
-        let (subject, label_shape) =
-            self.with_hot(pid, |h| (h.digest, h.shape.load(Ordering::Relaxed)))?;
+        // The hot-index read resolves the subject's current name in
+        // the cache with zero locks — the submission path never waits
+        // behind a spawn or a `say`.
+        let subject = self.with_hot(pid, IpdHot::subject)?;
         let telemetry_on = self.telemetry.enabled();
         if self.decision_cache_on() {
             // Hit-path auditing is *sampled*: the ticked decision —
@@ -141,7 +141,8 @@ impl Nexus {
             // The label shape is a coalescing hint: requests batch
             // only with same-shaped credential sets, so the batch
             // prover's frontier sharing is maximal. One atomic load
-            // off the hot index above.
+            // off the hot index, which only a submission pays.
+            let label_shape = self.with_hot(pid, |h| h.shape.load(Ordering::Relaxed))?;
             if let Some(ticket) = pool.try_submit(AuthzRequest {
                 pid,
                 op: opn.clone(),
@@ -411,7 +412,10 @@ impl Nexus {
         supplied: Option<&'a Proof>,
         cfg: &NexusConfig,
     ) -> Result<PreparedRequest<'a>, KernelError> {
-        let (subject, digest) = self.with_hot(pid, |h| (h.principal.clone(), h.digest))?;
+        // The name first, the labels second: a verdict is filed under
+        // a generation read no later than the labels it was computed
+        // from (`IpdHot::subject`).
+        let (subject, digest) = self.with_hot(pid, |h| (h.principal.clone(), h.subject()))?;
         // The subject's credentials: its labelstore plus the request
         // itself, which arrived over the attested syscall channel and
         // is therefore an utterance the kernel can vouch for. The
@@ -432,8 +436,8 @@ impl Nexus {
         };
         // Auto-proving makes the outcome depend on the subject's label
         // set. Cached allows on that path stay valid because labels
-        // only ever *leave* a store via the revocation fence, which
-        // bumps the removal epoch and clears the cache.
+        // only ever *leave* a store through `withdraw`, which renames
+        // the subject: they stay behind under a name nobody probes.
         let auto_prove = proof.is_none() && cfg.auto_prove;
         let own_goal = open_goal.filter(|_| auto_prove).map(|goal| {
             let probe = AccessRequest {

@@ -1,6 +1,7 @@
 //! Goals, proofs and authorities: the policy writes, each paired with
 //! the decision-cache invalidation of exactly its grain (§2.8).
 
+use super::process::IpdHot;
 use super::Nexus;
 use crate::error::KernelError;
 use crate::fs::FS_PRINCIPAL;
@@ -89,11 +90,10 @@ impl Nexus {
         object: &ResourceId,
         proof: Proof,
     ) -> Result<(), KernelError> {
-        let (subject, digest) = self.with_hot(pid, |h| (h.principal.clone(), h.digest))?;
+        let subject = self.with_hot(pid, |h| h.principal.clone())?;
         self.proofs
             .set_proof(subject, OpName::from(op), object.clone(), proof);
-        self.dcache.invalidate(digest, op, object);
-        Ok(())
+        self.drop_cached_verdict(pid, op, object)
     }
 
     /// Remove a stored proof; invalidates its decision-cache entry.
@@ -103,10 +103,26 @@ impl Nexus {
         op: &str,
         object: &ResourceId,
     ) -> Result<(), KernelError> {
-        let (subject, digest) = self.with_hot(pid, |h| (h.principal.clone(), h.digest))?;
+        let subject = self.with_hot(pid, |h| h.principal.clone())?;
         if self.proofs.clear_proof(&subject, &OpName::from(op), object) {
-            self.dcache.invalidate(digest, op, object);
+            self.drop_cached_verdict(pid, op, object)?;
         }
+        Ok(())
+    }
+
+    /// Clear `pid`'s cached verdict for (`op`, `object`) after a proof
+    /// update. The subject is named *after* the store write: a fill
+    /// that rested on the old proof validated before that write, so
+    /// under a generation no later than this one — this name, or one
+    /// nobody probes any more.
+    fn drop_cached_verdict(
+        &self,
+        pid: u64,
+        op: &str,
+        object: &ResourceId,
+    ) -> Result<(), KernelError> {
+        let subject = self.with_hot(pid, IpdHot::subject)?;
+        self.dcache.invalidate(subject, op, object);
         Ok(())
     }
 

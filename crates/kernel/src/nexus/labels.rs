@@ -11,9 +11,10 @@
 //! the store's prepared credential set, so the next evaluation
 //! prepares it afresh and every one after that shares it. A label
 //! leaves a store only through [`Nexus::withdraw`], the one caller of
-//! `LabelStore::delete`, which drops the set likewise and owns the
-//! revocation fence. The public entry points are a door call plus
-//! their own counter and journal line.
+//! `LabelStore::delete`, which drops the set likewise, renames the
+//! loser in the decision cache and owns the revocation fence. The
+//! public entry points are a door call plus their own counter and
+//! journal line.
 
 use super::Nexus;
 use crate::error::KernelError;
@@ -48,9 +49,13 @@ impl Nexus {
     /// process's store under the same table lock (so a transfer is
     /// atomic, and a missing destination fails before anything is
     /// removed). A removal can falsify a cached allow that relied on
-    /// the departed label, so every `Ok` has run
-    /// [`Nexus::revocation_fence`]: by the time a caller sees the label
-    /// gone, no authorization backed by it can complete.
+    /// the departed label — `from`'s, nobody else's: a request's
+    /// credentials come from its own subject's store — so `from` is
+    /// renamed in the decision cache, after the delete and under the
+    /// lock it took (the one site that bumps a generation), and every
+    /// `Ok` has run [`Nexus::revocation_fence`] for what is in flight:
+    /// by the time a caller sees the label gone, no authorization
+    /// backed by it can complete.
     fn withdraw(
         &self,
         from: u64,
@@ -63,6 +68,8 @@ impl Nexus {
                 ipds.get(to)?;
             }
             let label = ipds.get_mut(from)?.labelstore.delete(h)?;
+            self.with_hot(from, |hot| self.dcache.rename(&hot.removals))
+                .expect("a pid in the table is in the hot index");
             match move_to {
                 Some(to) => Withdrawn::Moved(Self::deposit(&mut ipds, to, label)?),
                 None => Withdrawn::Dropped(label),
@@ -138,8 +145,9 @@ impl Nexus {
 
     /// Transfer a label between processes' labelstores (atomic: both
     /// stores update under one table lock). Because `from` loses a
-    /// credential, cached decisions that may have depended on it are
-    /// dropped by the revocation fence before this returns.
+    /// credential, its cached decisions — which may have depended on
+    /// it — are unreachable, and in-flight ones fenced, before this
+    /// returns; every other process's stay cached.
     pub fn transfer_label(
         &self,
         from: u64,
@@ -297,8 +305,8 @@ impl Nexus {
     /// Apply a *remotely agreed* revocation. By the time this returns,
     /// no authorization on this node backed by the revoked label can
     /// complete — the cross-node extension of the no-stale-allow
-    /// invariant (a revocation delivered anywhere fences every
-    /// replica as its delivery is applied).
+    /// invariant (a revocation delivered anywhere fences, on every
+    /// replica as its delivery is applied, the one subject it names).
     pub fn apply_remote_revoke(&self, pid: u64, h: LabelHandle) -> Result<Label, KernelError> {
         let label = self.withdraw_dropped(pid, h)?;
         self.dist.remote_revocations.add(1);

@@ -12,12 +12,13 @@
 //! so an `Arc<Nexus>` serves syscalls from many threads at once.
 //! The authorization *read* path is lock-free and, on a cached allow,
 //! allocation-free: the switches are one atomic word, the subject's
-//! [`nexus_core::SubjectDigest`] and label shape come off the kernel's
-//! own published [`Snapshot`] index (`ipd_hot`) rather than the IPD
-//! table's lock, a decision-cache hit is a seqlock probe (atomic
-//! loads, no lock word) keyed by that digest and the caller's borrowed
-//! operation and object, and the goal/proof stores publish
-//! epoch-stamped snapshots readers never block on. The remaining
+//! [`nexus_core::SubjectDigest`] and label-removal generation come off
+//! the kernel's own published [`Snapshot`] index (`ipd_hot`) rather
+//! than the IPD table's lock, a decision-cache hit is a seqlock probe
+//! (atomic loads, no lock word) keyed by that digest at that
+//! generation and the caller's borrowed operation and object, and the
+//! goal/proof stores publish epoch-stamped snapshots readers never
+//! block on. The remaining
 //! subsystems sit behind their own locks. Lock discipline: locks are leaf-scoped —
 //! no method holds one subsystem's lock while acquiring another's,
 //! except `transfer_label` (one table, one lock) and `fs_server_hop`
@@ -231,9 +232,10 @@ pub struct Nexus {
     authzd: RwLock<Option<Arc<GuardPool>>>,
     ipds: RwLock<IpdTable>,
     /// Lock-free index over the hot per-process facts the submission
-    /// path needs — principal and its decision-cache digest, scheduler
-    /// name, live label-shape word — so `route_authz` and the
-    /// pipeline's prioritizer never take the `ipds` lock per request.
+    /// path needs — principal, its decision-cache digest and
+    /// label-removal generation, scheduler name, live label-shape word
+    /// — so `route_authz` and the pipeline's prioritizer never take the
+    /// `ipds` lock per request.
     /// Pids are dense and sequential from 1, so entry `pid - 1` is
     /// pid's; entries are shared by `Arc`, so a spawn's republication
     /// copies pointers. Both spawn paths publish here under the `ipds`
@@ -256,9 +258,12 @@ pub struct Nexus {
     clock: AtomicU64,
     /// Bumped whenever a label is *removed* from a labelstore
     /// (additions can only turn uncached denies into allows, but a
-    /// removal can falsify a cached allow whose credential matching
-    /// relied on the departed label — and the decision cache has no
-    /// per-label invalidation hook).
+    /// removal can falsify an allow whose credential matching relied
+    /// on the departed label). The third word of the read stamp: it
+    /// fails the evaluations *in flight* across a removal, and flushes
+    /// the prover memo. Verdicts already cached are not its business —
+    /// the loser's per-process generation (`IpdHot::removals`) renames
+    /// those out of reach.
     label_removal_epoch: AtomicU64,
     first_boot: bool,
     fs_port: u64,

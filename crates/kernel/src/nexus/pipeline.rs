@@ -106,18 +106,19 @@ impl Nexus {
         }
     }
 
-    /// The label-removal fence, as one named step: bump the removal
-    /// epoch (aborting racing cache fills), clear the decision cache,
-    /// and quiesce in-flight pipeline batches. Every label that leaves
-    /// a store leaves through the one `withdraw` door, which runs
-    /// exactly this — transfer, credential revocation, and a remotely
-    /// delivered revocation broadcast alike; by the time it returns,
-    /// no authorization backed by the departed label can complete
-    /// (PR 5's no-stale-allow invariant, which the distributed layer
-    /// extends across nodes).
+    /// The label-removal fence, as one named step — the in-flight half
+    /// of a removal: bump the removal epoch (an evaluation that read
+    /// the departed label fails its stamp and starts over; the prover
+    /// memo is flushed) and quiesce in-flight pipeline batches. The
+    /// cached half is the rename `withdraw` did just before. Every
+    /// label that leaves a store leaves through that one door, which
+    /// runs exactly this — transfer, credential revocation, and a
+    /// remotely delivered revocation broadcast alike; by the time it
+    /// returns, no authorization backed by the departed label can
+    /// complete (PR 5's no-stale-allow invariant, which the
+    /// distributed layer extends across nodes).
     pub fn revocation_fence(&self) {
         self.label_removal_epoch.fetch_add(1, Ordering::Relaxed);
-        self.dcache.clear();
         self.fence_in_flight_authz();
     }
 }

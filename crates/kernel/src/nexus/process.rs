@@ -6,7 +6,7 @@ use crate::ipd::IpdTable;
 use nexus_core::SubjectDigest;
 use nexus_nal::Principal;
 use parking_lot::RwLockReadGuard;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The per-process facts the submission path reads on every request,
@@ -14,12 +14,29 @@ use std::sync::Arc;
 /// the labelstore's own live atomic (shared by `Arc`), so `say`/
 /// `transfer_label` update it in place with no republication.
 pub(super) struct IpdHot {
+    /// `principal` as the decision cache digests it, and how many
+    /// labels have left this process's store: together, the name the
+    /// cache knows the subject by ([`IpdHot::subject`]) and all a
+    /// cached allow reads of it. Inline and adjacent, so a hit touches
+    /// this allocation and no other.
+    digest: SubjectDigest,
+    /// The label-removal generation. Bumped by `Nexus::withdraw` and
+    /// nothing else, under the `ipds` write lock its delete took.
+    pub(super) removals: AtomicU64,
     pub(super) principal: Principal,
-    /// `principal` as the decision cache probes for it: all a cached
-    /// allow reads of the subject.
-    pub(super) digest: SubjectDigest,
     pub(super) name: String,
     pub(super) shape: Arc<AtomicU64>,
+}
+
+impl IpdHot {
+    /// The subject's current name in the decision cache. Whoever files
+    /// a verdict under it must call this *before* reading the labels
+    /// the verdict is computed from (`Acquire`, pairing with the bump):
+    /// an old name with either label set is a name nobody probes any
+    /// more, and the new name implies the delete is visible.
+    pub(super) fn subject(&self) -> SubjectDigest {
+        self.digest.at(self.removals.load(Ordering::Acquire))
+    }
 }
 
 impl Nexus {
@@ -50,6 +67,7 @@ impl Nexus {
             let principal = ipd.principal();
             let hot = Arc::new(IpdHot {
                 digest: self.dcache.digest(&principal),
+                removals: AtomicU64::new(0),
                 principal,
                 name: ipd.name.clone(),
                 shape: ipd.labelstore.shape_handle(),

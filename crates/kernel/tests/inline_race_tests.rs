@@ -124,3 +124,53 @@ fn transfer_label_returning_mid_guard_is_never_followed_by_an_inline_allow() {
         .authorize_with(reader, "poke", &object, Some(&proof))
         .unwrap());
 }
+
+#[test]
+fn transfer_label_returning_mid_guard_leaves_nothing_cached_under_the_subjects_new_name() {
+    // The same parked evaluation, seen from the decision cache: the
+    // transfer renames the reader while its guard sits on the old
+    // labels. The finishing call is not an allow, and nothing it (or
+    // anything before it) filed is reachable afterwards — the raced
+    // tuple and a sibling tuple cached before the race both miss.
+    let nexus = Arc::new(Nexus::boot_default().unwrap());
+    let owner = nexus.spawn("owner", b"img");
+    let reader = nexus.spawn("reader", b"img");
+    let elsewhere = nexus.spawn("elsewhere", b"img");
+    let object = ResourceId::new("svc", "race");
+    let sibling = ResourceId::new("svc", "sibling");
+    for (o, goal) in [
+        (&object, "Owner says ok and Clock says fresh"),
+        (&sibling, "Owner says ok"),
+    ] {
+        nexus.grant_ownership(owner, o).unwrap();
+        nexus
+            .sys_setgoal(owner, o.clone(), "poke", parse(goal).unwrap())
+            .unwrap();
+    }
+    let credential = nexus
+        .kernel_label(reader, Principal::name("Owner"), parse("ok").unwrap())
+        .unwrap();
+    let proof = Proof::AndIntro(
+        Box::new(Proof::assume(parse("Owner says ok").unwrap())),
+        Box::new(Proof::assume(parse("Clock says fresh").unwrap())),
+    );
+    assert!(nexus.authorize(reader, "poke", &sibling).unwrap());
+    let cached = nexus.decision_cache_stats().hits;
+    assert!(nexus.authorize(reader, "poke", &sibling).unwrap());
+    assert_eq!(nexus.decision_cache_stats().hits, cached + 1);
+
+    let verdict = authorize_across(&nexus, reader, &object, &proof, || {
+        nexus.transfer_label(reader, credential, elsewhere).unwrap();
+    });
+    assert_ne!(verdict, Ok(true));
+
+    let before = nexus.decision_cache_stats();
+    assert!(!nexus
+        .authorize_with(reader, "poke", &object, Some(&proof))
+        .unwrap());
+    assert!(!nexus.authorize(reader, "poke", &sibling).unwrap());
+    let after = nexus.decision_cache_stats();
+    assert_eq!(after.misses, before.misses + 2, "both calls were evaluated");
+    assert_eq!(after.hits, before.hits);
+    assert_eq!(after.invalidations, before.invalidations);
+}

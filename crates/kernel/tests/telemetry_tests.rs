@@ -239,7 +239,8 @@ const SNAPSHOT_SHAPE: &str = "\
 nexus_telemetry_enabled gauge 1 when stage timers and the audit journal are recording
 nexus_dcache_hits_total counter decision-cache hits
 nexus_dcache_misses_total counter decision-cache misses
-nexus_dcache_invalidations_total counter decision-cache epoch invalidations
+nexus_dcache_invalidations_total counter decision-cache entries cleared by an invalidation
+nexus_dcache_renames_total counter subjects renamed by a label removal
 nexus_dcache_collisions_total counter decision-cache set-conflict evictions
 nexus_dcache_read_retries_total counter seqlock read retries (torn reads)
 nexus_dcache_read_fallbacks_total counter seqlock reads that fell back to the table lock
@@ -427,7 +428,7 @@ fn credential_lifecycle_counts_and_journals() {
                 .epochs[2]
         };
         let before = removal_epoch_of(AuditVerdict::Allow);
-        let invalidations = nexus.decision_cache_stats().invalidations;
+        let renames = nexus.decision_cache_stats().renames;
         match name {
             "transfer_label" => drop(nexus.transfer_label(holder, h, sink).unwrap()),
             "revoke_credential" => nexus.revoke_credential(holder, h).unwrap(),
@@ -443,7 +444,7 @@ fn credential_lifecycle_counts_and_journals() {
             "{name}: exactly one fence per removal"
         );
         assert!(
-            nexus.decision_cache_stats().invalidations > invalidations,
+            nexus.decision_cache_stats().renames > renames,
             "{name}: the cached allow must have been invalidated"
         );
         let revokes: Vec<AuditPath> = nexus
