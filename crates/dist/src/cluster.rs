@@ -269,8 +269,9 @@ impl Cluster {
     /// have never appeared at this node hold no credentials and are
     /// denied.
     pub fn authorize(&mut self, i: NodeId, subject: &str, op: &str, object: &ResourceId) -> bool {
-        let pid = self.node_mut(i).subject_pid(subject);
-        self.nexus(i).authorize(pid, op, object).unwrap_or(false)
+        let node = self.node_mut(i);
+        let pid = node.subject_pid(subject);
+        node.nexus().authorize(pid, op, object).unwrap_or(false)
     }
 
     // ---- Byzantine injection ----

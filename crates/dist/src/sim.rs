@@ -164,24 +164,25 @@ impl SimNet {
             self.counters.dropped += 1;
             return;
         }
-        let copies = if !is_self && self.cfg.dup_pct > 0 && self.pct() < self.cfg.dup_pct {
+        if !is_self && self.cfg.dup_pct > 0 && self.pct() < self.cfg.dup_pct {
             self.counters.duplicated += 1;
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let delay = if self.cfg.max_delay > 0 {
-                self.rng.next_u64() % (self.cfg.max_delay + 1)
-            } else {
-                0
-            };
-            self.in_flight.push(Flight {
-                to,
-                msg: msg.clone(),
-                ready_at: self.tick + delay,
-            });
+            self.launch(to, msg.clone());
         }
+        self.launch(to, msg);
+    }
+
+    /// Put one copy in the bag, drawing its delay.
+    fn launch(&mut self, to: NodeId, msg: Message) {
+        let delay = if self.cfg.max_delay > 0 {
+            self.rng.next_u64() % (self.cfg.max_delay + 1)
+        } else {
+            0
+        };
+        self.in_flight.push(Flight {
+            to,
+            msg,
+            ready_at: self.tick + delay,
+        });
     }
 
     /// Deliver one random eligible flight, or advance the tick if
@@ -192,36 +193,38 @@ impl SimNet {
             if self.in_flight.is_empty() {
                 return None;
             }
-            // Discard flights crossing an active partition boundary.
             let tick = self.tick;
-            let cfg = &self.cfg;
-            let mut cut = 0u64;
-            self.in_flight.retain(|f| {
-                let sever = f.ready_at <= tick
-                    && f.msg.from != f.to
-                    && cfg
-                        .partitions
-                        .iter()
-                        .any(|p| p.severs(tick, f.msg.from, f.to));
-                if sever {
-                    cut += 1;
-                }
-                !sever
-            });
-            self.counters.partitioned += cut;
+            // Discard flights crossing an active partition boundary.
+            if !self.cfg.partitions.is_empty() {
+                let cfg = &self.cfg;
+                let mut cut = 0u64;
+                self.in_flight.retain(|f| {
+                    let sever = f.ready_at <= tick
+                        && f.msg.from != f.to
+                        && cfg
+                            .partitions
+                            .iter()
+                            .any(|p| p.severs(tick, f.msg.from, f.to));
+                    if sever {
+                        cut += 1;
+                    }
+                    !sever
+                });
+                self.counters.partitioned += cut;
+            }
 
-            let eligible: Vec<usize> = self
-                .in_flight
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.ready_at <= self.tick)
-                .map(|(i, _)| i)
-                .collect();
-            if eligible.is_empty() {
+            // The k-th eligible flight in bag order, k drawn once.
+            let eligible = |f: &Flight| f.ready_at <= tick;
+            let count = self.in_flight.iter().filter(|f| eligible(f)).count();
+            if count == 0 {
                 self.tick += 1;
                 continue;
             }
-            let pick = eligible[(self.rng.next_u64() as usize) % eligible.len()];
+            let k = (self.rng.next_u64() as usize) % count;
+            let pick = (0..self.in_flight.len())
+                .filter(|&i| eligible(&self.in_flight[i]))
+                .nth(k)
+                .expect("k is below the eligible count");
             let flight = self.in_flight.swap_remove(pick);
             self.tick += 1;
             self.counters.delivered += 1;
@@ -327,9 +330,15 @@ mod tests {
     fn delayed_flights_wait_their_tick() {
         let mut net = SimNet::new(SimConfig::lossy(8, 0, 0, 5));
         net.send(0, 1, msg(0, 1));
-        let before = net.tick();
+        let ready_at = net.in_flight[0].ready_at;
+        assert!(ready_at > 0, "seed 8 draws a delay");
         let (to, _) = net.step().expect("must deliver");
         assert_eq!(to, 1);
-        assert!(net.tick() > before || net.tick() == before + 1);
+        // The delivering step ends one tick past the one it picked at.
+        assert_eq!(
+            net.tick(),
+            ready_at + 1,
+            "delivered at, not before, ready_at"
+        );
     }
 }

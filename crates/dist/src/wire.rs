@@ -27,11 +27,32 @@
 //! through the [`OpSigner`] trait; the in-tree implementation is the
 //! vendored ed25519 stand-in, and a real Ed25519 signer can slot in
 //! without touching the state machine.
+//!
+//! What is checked when. **Per message:** the link signature, always —
+//! it covers the sender, the phase and every byte of the envelope
+//! carried. **Per slot:** the origin signature and the digest, the
+//! first time the slot meets that envelope. A broadcast among `n`
+//! nodes carries one envelope in `2n + 1` messages to each of them, so
+//! [`BrbState::handle`] first asks the slot whether it already holds
+//! an envelope *equal to the incoming one in all four fields* (origin,
+//! seq, op, origin signature); if it does, the origin check it would
+//! run is a deterministic function of exactly those bytes and the
+//! fixed membership, and already came out true, and the digest is a
+//! function of the same bytes — so the stored digest is taken and both
+//! are skipped. Anything else — a new slot, an equivocating origin's
+//! second envelope, one flipped bit of a held one, an envelope a
+//! delivered slot has compacted away — is verified and hashed in full
+//! by the same code as ever. The comparison is by value and local:
+//! nothing about an envelope's validity or digest travels in a message
+//! or in the shared handle an [`OpEnvelope`] is, so a real transport
+//! pays what the simulator pays.
 
 use crate::orset::{Dot, LabelOp, LabelRecord};
 use ed25519_dalek::{Signature, Signer, SigningKey, Verifier, VerifyingKey};
 use sha2::{Digest as _, Sha256};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// Cluster-wide node identifier (index into the membership table).
 pub type NodeId = u32;
@@ -203,12 +224,15 @@ fn verify_sig(key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> bool {
 
 // ---- envelopes and messages ----
 
-/// A broadcast operation bound to its origin: `(origin, seq)` names
-/// the BRB slot, and `sig` is the origin's signature over the
-/// canonical encoding — relayed unchanged inside Echo/Ready, so a
-/// Byzantine relay cannot alter or forge the op.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpEnvelope {
+/// Starting capacity of a signable buffer. An honest op — a label of
+/// three short strings and a few dots — encodes to well under this
+/// with its header and signature, so the buffer is allocated once; a
+/// longer one grows it.
+const SIGNABLE_HINT: usize = 256;
+
+/// The four fields of an [`OpEnvelope`], reached through its `Deref`.
+#[derive(Debug, PartialEq, Eq)]
+pub struct SignedOp {
     /// The originating node.
     pub origin: NodeId,
     /// The origin's per-node sequence number.
@@ -219,10 +243,31 @@ pub struct OpEnvelope {
     pub sig: [u8; 64],
 }
 
+/// A broadcast operation bound to its origin: `(origin, seq)` names
+/// the BRB slot, and `sig` is the origin's signature over the
+/// canonical encoding — relayed unchanged inside Echo/Ready, so a
+/// Byzantine relay cannot alter or forge the op.
+///
+/// An immutable shared handle: a clone — into a slot, a fan-out copy,
+/// a simulated flight, a delivery — bumps a reference count instead of
+/// copying the op's strings and dots. The handle carries the four
+/// fields and nothing else: whether an envelope is valid, and what it
+/// hashes to, is only ever what the receiving slot worked out itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpEnvelope(Arc<SignedOp>);
+
+impl Deref for OpEnvelope {
+    type Target = SignedOp;
+
+    fn deref(&self) -> &SignedOp {
+        &self.0
+    }
+}
+
 impl OpEnvelope {
     /// The canonical byte string the origin signs.
     pub fn signable(origin: NodeId, seq: u64, op: &LabelOp) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(SIGNABLE_HINT);
         put_str(&mut out, "nexus-dist-op");
         put_u64(&mut out, origin as u64);
         put_u64(&mut out, seq);
@@ -233,12 +278,12 @@ impl OpEnvelope {
     /// Build and origin-sign an envelope.
     pub fn sign(origin: NodeId, seq: u64, op: LabelOp, signer: &dyn OpSigner) -> OpEnvelope {
         let sig = signer.sign(&OpEnvelope::signable(origin, seq, &op));
-        OpEnvelope {
+        OpEnvelope(Arc::new(SignedOp {
             origin,
             seq,
             op,
             sig,
-        }
+        }))
     }
 
     /// Digest the envelope (origin, seq, op, origin-sig) — the vote key.
@@ -293,7 +338,7 @@ impl Payload {
     /// The canonical byte string the link signature covers.
     pub fn signable(&self, from: NodeId) -> Vec<u8> {
         let e = self.envelope();
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(SIGNABLE_HINT);
         put_str(&mut out, "nexus-dist-msg");
         put_u64(&mut out, from as u64);
         out.push(self.tag());
@@ -354,6 +399,14 @@ const SLOT_WINDOW: usize = 64;
 /// slot memory stops growing the moment the slot's job is done. In
 /// both phases an envelope is stored **once**; tallies and this node's
 /// own votes are digests into that store, never further copies.
+///
+/// The store is also the slot's memory of what it has checked: an
+/// envelope is in it only if this node signed it
+/// ([`BrbState::broadcast`]) or verified its origin signature and
+/// hashed it ([`BrbState::handle`]), and the digest beside it is that
+/// hash. A later message carrying an equal envelope therefore needs
+/// its link signature checked and nothing else (see the module docs);
+/// one that differs in any field finds no match and is checked whole.
 #[derive(Debug, Default)]
 struct Slot {
     /// The one envelope store: each distinct envelope seen (from any
@@ -396,9 +449,19 @@ impl Slot {
             .map(|(_, env)| env)
     }
 
-    /// Store `env` under `digest` unless it is already held — the only
-    /// place an envelope enters a slot. No growth slack: the honest
-    /// slot's one envelope is one exact allocation for life.
+    /// The digest of the held envelope equal to `env` in all four
+    /// fields, if there is one. The fields are compared, not the
+    /// handles: a real transport hands every message a fresh
+    /// allocation, so the pointer shortcut of `Arc`'s `==` is not taken.
+    fn digest_of(&self, env: &OpEnvelope) -> Option<OpDigest> {
+        let (digest, _) = self.envelopes.iter().find(|(_, held)| **held == **env)?;
+        Some(*digest)
+    }
+
+    /// Store `env` — signed here or origin-verified, and hashing to
+    /// `digest` — unless it is already held: the only place an envelope
+    /// enters a slot. No growth slack: the honest slot's one envelope
+    /// is one exact allocation for life.
     fn hold(&mut self, digest: OpDigest, env: &OpEnvelope) {
         if self.envelope(&digest).is_none() {
             self.envelopes.reserve_exact(1);
@@ -440,6 +503,10 @@ nexus_obs::counters! {
         /// Ops delivered.
         delivered: counter
             "nexus_dist_brb_delivered_total" "ops delivered by the broadcast layer",
+        /// Origin signatures checked: once per distinct envelope a slot
+        /// comes to hold, not once per message carrying it.
+        envelopes_verified: counter
+            "nexus_dist_brb_envelopes_verified_total" "origin signatures checked",
     }
 }
 
@@ -557,13 +624,28 @@ impl BrbState {
     pub fn handle(&mut self, msg: &Message, signer: &dyn OpSigner) -> Step {
         let mut step = Step::default();
         let env = msg.payload.envelope();
-        if !msg.verify(&self.membership) || !env.verify(&self.membership) {
+        let key = (env.origin, env.seq);
+        // Per message: the link signature, which binds this sender's
+        // vote to every byte of the envelope it carries.
+        if !msg.verify(&self.membership) {
             self.counters.rejected_sigs += 1;
             return step;
         }
-
-        let key = (env.origin, env.seq);
-        let digest = env.digest();
+        // Per slot: an envelope equal to one the slot holds was origin-
+        // verified and hashed when it entered (`Slot::hold`); any other
+        // is, here, before it can be tallied, stored or relayed.
+        let held = self.slots.get(&key).and_then(|slot| slot.digest_of(env));
+        let digest = match held {
+            Some(digest) => digest,
+            None => {
+                self.counters.envelopes_verified += 1;
+                if !env.verify(&self.membership) {
+                    self.counters.rejected_sigs += 1;
+                    return step;
+                }
+                env.digest()
+            }
+        };
 
         // Opening a new slot is bounded per origin: a Byzantine member
         // cannot allocate state for unlimited fresh seqs. (It can only
@@ -887,6 +969,121 @@ mod tests {
             "healed node must deliver from survivors' votes alone"
         );
         assert_eq!(delivered[3][0].op, op(1));
+    }
+
+    #[test]
+    fn a_slot_verifies_each_distinct_envelope_once() {
+        let (mut states, signers) = cluster(5);
+        let first = states[0].broadcast(op(1), &signers[0]);
+        let delivered = pump(&mut states, &signers, first);
+        assert!(delivered.iter().all(|d| d.len() == 1));
+        let sum = |f: fn(BrbCounters) -> u64| states.iter().map(|s| f(s.counters())).sum::<u64>();
+        assert_eq!(sum(|c| c.accepted), 55, "5 Sends + 25 Echoes + 25 Readies");
+        assert_eq!(sum(|c| c.rejected_sigs + c.rejected_bounds), 0);
+        assert_eq!(states[0].counters().envelopes_verified, 0, "its own op");
+        assert_eq!(sum(|c| c.envelopes_verified), 4, "once per receiver");
+
+        // An equivocating origin's second envelope is never admitted on
+        // the strength of the first: every receiver it reaches checks
+        // it in full, and a badly signed one is refused in full.
+        let second = OpEnvelope::sign(0, 0, op(2), &signers[0]);
+        let forged = OpEnvelope::sign(0, 0, op(3), &signers[4]);
+        for (i, state) in states.iter_mut().enumerate().skip(1) {
+            let before = state.counters();
+            let msg = Message::sign(0, Payload::Send(second.clone()), &signers[0]);
+            state.handle(&msg, &signers[i]);
+            let msg = Message::sign(4, Payload::Echo(forged.clone()), &signers[4]);
+            state.handle(&msg, &signers[i]);
+            let after = state.counters();
+            assert_eq!(after.envelopes_verified, before.envelopes_verified + 2);
+            assert_eq!(after.accepted, before.accepted + 1);
+            assert_eq!(after.rejected_sigs, before.rejected_sigs + 1);
+        }
+    }
+
+    /// `env` with one thing changed: what a member holding a genuine
+    /// envelope can fabricate without the origin's key.
+    fn altered(env: &OpEnvelope, change: impl FnOnce(&mut SignedOp)) -> OpEnvelope {
+        let mut fields = SignedOp {
+            origin: env.origin,
+            seq: env.seq,
+            op: env.op.clone(),
+            sig: env.sig,
+        };
+        change(&mut fields);
+        OpEnvelope(Arc::new(fields))
+    }
+
+    /// What a refused message must leave untouched at an endpoint.
+    fn footprint(state: &BrbState) -> (usize, usize, usize, u64, u64) {
+        let votes = |tally: &BTreeMap<OpDigest, BTreeSet<NodeId>>| {
+            tally.values().map(BTreeSet::len).sum::<usize>()
+        };
+        let slots = state.slots.values();
+        let tallied: usize = slots.map(|s| votes(&s.echoes) + votes(&s.readies)).sum();
+        let c = state.counters();
+        (
+            state.slots.len(),
+            envelopes_held(state),
+            tallied,
+            c.accepted,
+            c.delivered,
+        )
+    }
+
+    #[test]
+    fn an_envelope_differing_from_the_held_one_in_any_field_fails_closed() {
+        let (mut states, signers) = cluster(4);
+        let genuine = OpEnvelope::sign(0, 0, op(1), &signers[0]);
+        let variants = [
+            altered(&genuine, |e| e.sig[0] ^= 1),
+            altered(&genuine, |e| e.sig[63] ^= 0x80),
+            altered(&genuine, |e| e.op = op(2)),
+            altered(&genuine, |e| e.seq = 1),
+            altered(&genuine, |e| e.origin = 1),
+        ];
+        let offer_all = |state: &mut BrbState, when: &str| {
+            for (v, variant) in variants.iter().enumerate() {
+                let phases: [fn(OpEnvelope) -> Payload; 3] =
+                    [Payload::Send, Payload::Echo, Payload::Ready];
+                for phase in phases {
+                    let before = (footprint(state), state.counters().rejected_sigs);
+                    // Link-signed with member 3's real key: only the
+                    // envelope inside is wrong.
+                    let msg = Message::sign(3, phase(variant.clone()), &signers[3]);
+                    assert!(msg.verify(state.membership()));
+                    let step = state.handle(&msg, &signers[1]);
+                    assert!(step.outgoing.is_empty(), "{when}, variant {v}: relayed");
+                    assert!(step.delivered.is_empty(), "{when}, variant {v}: delivered");
+                    let after = (footprint(state), state.counters().rejected_sigs);
+                    assert_eq!(after, (before.0, before.1 + 1), "{when}, variant {v}");
+                }
+            }
+        };
+
+        // Node 1 holds the genuine envelope in an open slot…
+        let send = Message::sign(0, Payload::Send(genuine.clone()), &signers[0]);
+        let step = states[1].handle(&send, &signers[1]);
+        assert_eq!(step.outgoing.len(), 4, "accepted and echoed");
+        assert_eq!(envelopes_held(&states[1]), 1);
+        offer_all(&mut states[1], "open");
+
+        // …and still holds it once the slot is delivered and compacted.
+        for from in [0, 2, 3] {
+            let ready = Payload::Ready(genuine.clone());
+            let msg = Message::sign(from, ready, &signers[from as usize]);
+            states[1].handle(&msg, &signers[1]);
+        }
+        assert_eq!(states[1].counters().delivered, 1);
+        assert!(states[1].slots[&(0, 0)].delivered);
+        offer_all(&mut states[1], "delivered");
+
+        // The genuine envelope itself, meanwhile, still takes the
+        // short road: one more vote, no further origin check.
+        let verified = states[1].counters().envelopes_verified;
+        let echo = Message::sign(3, Payload::Echo(genuine), &signers[3]);
+        states[1].handle(&echo, &signers[1]);
+        assert_eq!(states[1].counters().envelopes_verified, verified);
     }
 
     #[test]

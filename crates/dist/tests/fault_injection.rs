@@ -466,6 +466,7 @@ nexus_dist_brb_equivocations_total counter conflicting Sends observed for an acc
 nexus_dist_brb_duplicates_total counter redundant broadcast messages
 nexus_dist_brb_rejected_bounds_total counter broadcast messages dropped by the per-origin slot window or per-slot digest cap
 nexus_dist_brb_delivered_total counter ops delivered by the broadcast layer
+nexus_dist_brb_envelopes_verified_total counter origin signatures checked
 nexus_dist_applied_mints_total counter labels minted from deliveries
 nexus_dist_applied_revocations_total counter labels revoked (fenced) from deliveries
 nexus_dist_apply_errors_total counter delivered ops that failed to apply

@@ -1,9 +1,15 @@
 //! What one revoke + re-mint cycle leaves behind (ISSUE 19): a
 //! delivered slot keeps its envelope once, so five replicas on a
-//! perfect network retain at most 8 KiB per cycle between them — the
-//! four-copy layout kept 18 841 B. Counted, not sampled: a counting
-//! global allocator tracks the live bytes of the whole process. This
-//! is the number ROADMAP item 3a's frontier GC drives to ≈ 0.
+//! perfect network retain at most 5 KiB per cycle between them (4 646 B
+//! measured) — the four-copy layout kept 18 841 B, one deep copy per
+//! replica 6 398 B. The last step down is an artefact of running five
+//! replicas in one process: an envelope is a shared immutable handle
+//! (ISSUE 23), so the five slots that hold it share one allocation,
+//! where a real deployment holds it once *per node*. The bound is
+//! tight so that a change which goes back to copying shows; it is not
+//! a protocol saving. Counted, not sampled: a counting global
+//! allocator tracks the live bytes of the whole process. This is the
+//! number ROADMAP item 3a's frontier GC drives to ≈ 0.
 
 use nexus_dist::Cluster;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -39,7 +45,7 @@ static GLOBAL: Counting = Counting;
 const NODES: u32 = 5;
 const WARM_CYCLES: u32 = 256;
 const CYCLES: u32 = 1024;
-const MAX_BYTES_PER_CYCLE: isize = 8192;
+const MAX_BYTES_PER_CYCLE: isize = 5120;
 
 #[test]
 fn a_revoke_and_remint_cycle_retains_under_8_kib_across_five_replicas() {
