@@ -11,8 +11,8 @@
 //!
 //! * **reanalyze-per-auth** — every upload is preceded by a forced
 //!   re-analysis (revoke → analyze → re-mint, retiring the encoder's
-//!   cached verdicts and flushing the prover memo), so each
-//!   authorization pays the full analysis plus an uncached proof;
+//!   cached verdicts), so each authorization pays the full analysis
+//!   plus an uncached verdict;
 //! * **first-contact** — the one-time cost of registering an encoder:
 //!   analysis, minting, and the first (uncached) authorization;
 //! * **credential-reuse** — steady state: uploads authorized against

@@ -155,7 +155,7 @@ pub fn section(figure: &str, cfg: &ReportConfig) -> Option<Value> {
             }
             println!(
                 "(credential reuse vs re-analysis per auth: {:.1}x — acceptance bound ≥ 5x; \
-                 {}-stage encoder, forced re-attest = revoke + analyze + re-mint + epoch flush)",
+                 {}-stage encoder, forced re-attest = revoke + analyze + re-mint + fence)",
                 fig7a::speedup(&pts),
                 fig7a::ENCODER_WIDTH
             );

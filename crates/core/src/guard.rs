@@ -180,23 +180,15 @@ nexus_obs::counters! {
         /// group leader's search.
         batch_shared: plain counter
             "nexus_prover_batch_shared_total" "goals that shared an earlier goal's frontier",
-        /// Session flushes forced by epoch movement (credential/label
-        /// movement invalidates the memo exactly like the decision cache).
-        flushes: plain counter
-            "nexus_prover_flushes_total" "memo flushes (label-removal epoch moved)",
+        /// Times the session's memo, full at its cap, started over (a
+        /// backstop: label movement never empties the memo).
+        restarts: plain counter
+            "nexus_prover_memo_restarts_total" "prover memo start-overs at its cap",
         /// Auto-prove goals that yielded a proof.
         proved: plain counter "nexus_prover_proved_total" "auto-prove successes",
         /// Auto-prove goals the bounded search gave up on.
         failed: plain counter "nexus_prover_failed_total" "auto-prove failures",
     }
-}
-
-/// The guard's persistent [`ProofSearch`] session: one memo table
-/// shared by every auto-proving batch, dropped whenever the observed
-/// epoch moves.
-struct ProverSession {
-    epoch: u64,
-    search: ProofSearch,
 }
 
 /// A memo entry, hashed and compared as the proof it witnesses: the
@@ -293,7 +285,8 @@ pub struct Guard {
     cfg: GuardCacheConfig,
     cache: Mutex<GuardCache>,
     counters: GuardCounters,
-    prover: Mutex<Option<ProverSession>>,
+    /// One memo for every auto-proving batch; rebuilt if limits change.
+    prover: Mutex<ProofSearch>,
     prover_counters: ProverCounters,
 }
 
@@ -309,7 +302,7 @@ impl Guard {
             cfg,
             cache: Mutex::new(GuardCache::default()),
             counters: GuardCounters::default(),
-            prover: Mutex::new(None),
+            prover: Mutex::new(ProofSearch::new(ProverConfig::default())),
             prover_counters: ProverCounters::default(),
         }
     }
@@ -473,19 +466,24 @@ impl Guard {
     /// subgoal derivations across (and beyond) the batch are computed
     /// once and spliced into each request's proof.
     ///
-    /// `epoch` is the caller's credential/label-movement epoch: when
-    /// it differs from the one the session last observed, the memo
-    /// table is flushed before proving — the prover-cache analog of
-    /// the decision cache's epoch-validated fills. (Reuse is already
-    /// fingerprint- and leaf-guarded inside the session; the flush
-    /// additionally guarantees nothing from a dead epoch is ever
-    /// consulted.) A `cfg` differing from the session's current one
-    /// also resets the session, so changed limits always take effect.
+    /// The session is never told of a label movement: its memo is a
+    /// pure function of (goal, credential set, limits). A derivation is
+    /// served only if every leaf is among the credentials the requester
+    /// holds *now*, a refutation only under the fingerprint of the set
+    /// it failed under (a removal can only make it more true), and
+    /// [`check_batch`](Self::check_batch) matches every leaf again,
+    /// memo or no memo. Only a `cfg` differing from the session's
+    /// current one resets it, so changed limits always take effect.
+    ///
     /// Returns one optional proof per input, in order — each already
     /// [`Checked`] and ready to hand back as [`ProofRef::Checked`].
     /// This is the raw door: each member's credentials are prepared
     /// (normalised, keyed, sorted) on the way in, then proved exactly
     /// as [`prove_prepared`](Self::prove_prepared) proves them.
+    ///
+    /// `_epoch` is ignored (the memo used to be flushed when it moved)
+    /// and kept only because the frozen `benchmark/` package's `layers`
+    /// probe passes one; it goes when ROADMAP item 5 thaws that package.
     ///
     /// Concurrency: the session sits behind one mutex held for the
     /// whole batch search, so concurrent auto-proving serializes —
@@ -498,11 +496,11 @@ impl Guard {
     /// see "Retired baselines" in `docs/ARCHITECTURE.md`.)
     pub fn prove_batch(
         &self,
-        epoch: u64,
+        _epoch: u64,
         goals: &[BatchGoal<'_>],
         cfg: ProverConfig,
     ) -> Vec<Option<Arc<Checked>>> {
-        self.with_session(epoch, cfg, |search| search.prove_batch_explained(goals))
+        self.with_session(cfg, |search| search.prove_batch_explained(goals))
             .into_iter()
             .map(|o| o.proof)
             .collect()
@@ -516,53 +514,34 @@ impl Guard {
     /// events.
     pub fn prove_prepared(
         &self,
-        epoch: u64,
         goals: &[PreparedGoal<'_>],
         cfg: ProverConfig,
     ) -> Vec<ProveOutcome> {
-        self.with_session(epoch, cfg, |search| search.prove_prepared(goals))
+        self.with_session(cfg, |search| search.prove_prepared(goals))
     }
 
-    /// Run `prove` in the session for (`epoch`, `cfg`) — flushed or
-    /// rebuilt first when either moved — and tally what it did.
+    /// Run `prove` in the session — rebuilt first if `cfg` is not the
+    /// one it searches under (old entries reflect old limits) — and
+    /// tally what it did.
     fn with_session(
         &self,
-        epoch: u64,
         cfg: ProverConfig,
         prove: impl FnOnce(&mut ProofSearch) -> Vec<ProveOutcome>,
     ) -> Vec<ProveOutcome> {
-        let mut slot = self.prover.lock();
-        let session = match slot.as_mut() {
-            Some(s) if s.epoch == epoch && s.search.config() == cfg => s,
-            Some(s) => {
-                // Epoch moved (credentials migrated) or the caller
-                // changed the search limits: start a fresh memo either
-                // way — stale entries must not serve the new epoch,
-                // and old entries may reflect old limits.
-                if s.epoch != epoch {
-                    self.prover_counters.flushes.add(1);
-                }
-                s.epoch = epoch;
-                s.search = ProofSearch::new(cfg);
-                s
-            }
-            None => {
-                *slot = Some(ProverSession {
-                    epoch,
-                    search: ProofSearch::new(cfg),
-                });
-                slot.as_mut().expect("just installed")
-            }
-        };
-        let before = session.search.stats();
-        let out = prove(&mut session.search);
-        let after = session.search.stats();
+        let mut search = self.prover.lock();
+        if search.config() != cfg {
+            *search = ProofSearch::new(cfg);
+        }
+        let before = search.stats();
+        let out = prove(&mut search);
+        let after = search.stats();
         let tally = &self.prover_counters;
         for (cell, was, now) in [
             (&tally.memo_hits, before.memo_hits, after.memo_hits),
             (&tally.memo_misses, before.memo_misses, after.memo_misses),
             (&tally.batch_groups, before.batch_groups, after.batch_groups),
             (&tally.batch_shared, before.batch_shared, after.batch_shared),
+            (&tally.restarts, before.restarts, after.restarts),
         ] {
             cell.add(now - was);
         }
@@ -578,13 +557,9 @@ impl Guard {
     }
 
     /// Number of subgoal entries currently memoized by the prover
-    /// session (0 when no session has started or after a flush).
+    /// session.
     pub fn prover_memo_len(&self) -> usize {
-        self.prover
-            .lock()
-            .as_ref()
-            .map(|s| s.search.memo_len())
-            .unwrap_or(0)
+        self.prover.lock().memo_len()
     }
 
     /// Statistics snapshot.
@@ -1041,7 +1016,7 @@ mod tests {
         assert_eq!(st.batch_groups, 1);
         assert_eq!(st.batch_shared, 7);
         assert_eq!(st.proved, 8);
-        // A second batch under the same epoch rides the session memo.
+        // A second batch rides the session memo.
         let hits_before = st.memo_hits;
         let out = guard.prove_batch(1, &batch[..2], ProverConfig::default());
         assert!(out.iter().all(|p| p.is_some()));
@@ -1049,7 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn prover_config_changes_take_effect_within_an_epoch() {
+    fn prover_config_changes_take_effect() {
         let guard = Guard::new();
         let goal = parse("B says (C says (A says p))").unwrap();
         let creds = vec![parse("A says p").unwrap()];
@@ -1062,63 +1037,58 @@ mod tests {
             credentials: &creds,
         }];
         assert!(guard.prove_batch(1, &batch, shallow)[0].is_none());
-        // Same epoch, deeper limits: the session must be rebuilt with
-        // the new config (and its shallow refutation dropped).
+        // Deeper limits: the session must be rebuilt with the new
+        // config (and its shallow refutation dropped).
         assert!(
             guard.prove_batch(1, &batch, ProverConfig::default())[0].is_some(),
             "changed prover limits must take effect"
         );
-        assert_eq!(
-            guard.prover_stats().flushes,
-            0,
-            "a config change is not an epoch flush"
-        );
     }
 
     #[test]
-    fn prover_memo_flushed_when_epoch_moves() {
+    fn a_memoised_proof_is_not_served_once_its_leaf_is_gone_and_is_served_again_when_it_returns() {
         // The prover-cache analog of the decision cache's setgoal
-        // sabotage: a subgoal memoized while a credential was held
-        // must not survive the epoch that saw it move away.
+        // sabotage, with nothing telling the session a label moved: a
+        // derivation memoised while a credential was held is guarded
+        // by that credential, not by when it was found.
         let guard = Guard::new();
         let goal = parse("Owner says ok").unwrap();
         let held = vec![
             parse("Gate speaksfor Owner").unwrap(),
             parse("Gate says ok").unwrap(),
         ];
-        let out = guard.prove_batch(
-            1,
-            &[BatchGoal {
-                goal: &goal,
-                credentials: &held,
-            }],
-            ProverConfig::default(),
-        );
-        assert!(out[0].is_some());
-        assert!(guard.prover_memo_len() > 0, "session must have memoized");
-        // The credential moves away; the epoch moves with it.
         let moved = vec![parse("Gate speaksfor Owner").unwrap()];
-        let out = guard.prove_batch(
-            2,
-            &[BatchGoal {
+        let ask = |credentials: &[Formula]| {
+            let batch = [BatchGoal {
                 goal: &goal,
-                credentials: &moved,
-            }],
-            ProverConfig::default(),
+                credentials,
+            }];
+            guard
+                .prove_batch(0, &batch, ProverConfig::default())
+                .remove(0)
+        };
+        assert!(ask(&held).is_some());
+        let memoised = guard.prover_memo_len();
+        assert!(memoised > 0, "session must have memoized");
+        // The credential moves away: the memoised derivation is still
+        // in the table and fails its leaf test.
+        assert!(
+            ask(&moved).is_none(),
+            "stale memoized proof must not be reused"
         );
-        assert!(out[0].is_none(), "stale memoized proof must not be reused");
-        assert_eq!(guard.prover_stats().flushes, 1);
-        // Same epoch again: no further flush, refutation memo answers.
-        let out = guard.prove_batch(
-            2,
-            &[BatchGoal {
-                goal: &goal,
-                credentials: &moved,
-            }],
-            ProverConfig::default(),
-        );
-        assert!(out[0].is_none());
-        assert_eq!(guard.prover_stats().flushes, 1);
+        assert!(guard.prover_memo_len() >= memoised, "nothing was dropped");
+        // Asked again, the refutation under `moved`'s fingerprint answers.
+        let searched = guard.prover_stats().memo_misses;
+        assert!(ask(&moved).is_none());
+        assert_eq!(guard.prover_stats().memo_misses, searched);
+        // The credential returns: the fingerprint it had is the one it
+        // has, the old derivation passes its leaf test again, and the
+        // in-between refutation does not answer.
+        let hits = guard.prover_stats().memo_hits;
+        assert!(ask(&held).is_some(), "a stale refutation answered");
+        let st = guard.prover_stats();
+        assert_eq!((st.memo_hits, st.memo_misses), (hits + 1, searched));
+        assert_eq!(st.restarts, 0);
     }
 
     #[test]

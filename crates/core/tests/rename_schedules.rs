@@ -2,13 +2,16 @@
 //! than sampled by a stress run.
 //!
 //! Three actors take the atomic steps the kernel takes, on the real
-//! [`LabelStore`], [`DecisionCache`] and generation word:
+//! [`LabelStore`], [`DecisionCache`], [`Guard`] and generation word:
 //!
 //! * the **remover** (`Nexus::withdraw`): delete the label → bump the
 //!   subject's generation → bump the removal epoch → return;
 //! * the **evaluator** (`Nexus::evaluate_authz`): take the stamp → read
-//!   the generation → read the labels → decide → validate the stamp →
-//!   `fill_if` under that validation, and hand the verdict back;
+//!   the generation → read the labels → decide (`prove_prepared`, then
+//!   `check_batch`, in a guard whose prover session already holds a
+//!   proof resting on the very label the remover deletes, and is told
+//!   nothing of the removal) → validate the stamp → `fill_if` under
+//!   that validation, and hand the verdict back;
 //! * the **prober** (`Nexus::route_authz`), invoked only once the
 //!   remover has returned: read the generation → probe.
 //!
@@ -16,9 +19,14 @@
 //! explored are a superset of the kernel's (there the delete and the
 //! generation bump share one `ipds` write lock, which the label read
 //! waits for). A depth-first enumerator runs every schedule on a world
-//! rebuilt from scratch and asserts the one claim: *no verdict that
-//! leaves after the removal returned — probed or evaluated — is an
-//! allow resting on the removed label.* An evaluator whose validation
+//! rebuilt from scratch and asserts the one claim, a reachability
+//! property looked for in every state a schedule passes through: *no
+//! verdict that leaves after the removal returned — probed or
+//! evaluated — is an allow resting on the removed label.* That covers
+//! the memo and one removal in all interleavings: the goal needs a
+//! derivation, the warm-up memoised one, and whichever side of the
+//! delete the evaluator reads its labels on, what it is served is
+//! guarded by the leaves it rests on. An evaluator whose validation
 //! fails simply ends; the kernel's retry is an evaluator that starts
 //! later, which the enumeration already contains.
 //!
@@ -27,20 +35,28 @@
 //! its labels before its name, are each caught with the schedule that
 //! exposes them.
 
-use nexus_core::{DecisionCache, DecisionCacheConfig, Label, LabelHandle, LabelStore, ResourceId};
-use nexus_nal::{normalize, parse, CredSet, Creds, Formula, Principal};
+use nexus_core::{
+    AccessRequest, AuthorityRegistry, DecisionCache, DecisionCacheConfig, Guard, Label,
+    LabelHandle, LabelStore, OpName, ProofRef, ResourceId,
+};
+use nexus_nal::{parse, CredSet, Creds, Formula, PreparedGoal, Principal, ProverConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const OP: &str = "read";
+const SUBJECT: &str = "/proc/ipd/1";
+const OBJECT: &str = "file:/x";
 
 /// Everything the three actors share, and where each of them stands.
 struct World {
     store: LabelStore,
     cache: DecisionCache,
     object: ResourceId,
-    /// The normal form the goal asks for: what the one label says.
-    wanted: Formula,
+    /// Its prover session was warmed in [`World::new`].
+    guard: Guard,
+    /// `Owner says g`: no label says it, so it takes a derivation —
+    /// the hand-off label plus the payload the remover deletes.
+    goal: Formula,
     gate: LabelHandle,
     /// The subject's label-removal generation.
     generation: AtomicU64,
@@ -73,10 +89,21 @@ const PROBER_STEPS: usize = 2;
 impl World {
     fn new() -> World {
         let mut store = LabelStore::new();
+        store.insert(Label {
+            speaker: Principal::name("Owner"),
+            statement: parse("Gate speaksfor Owner").unwrap(),
+        });
         let gate = store.insert(Label {
             speaker: Principal::name("Gate"),
-            statement: parse("open").unwrap(),
+            statement: parse("g").unwrap(),
         });
+        let (guard, goal) = (Guard::new(), parse("Owner says g").unwrap());
+        // The memo under test: a finished proof resting on `gate`.
+        assert!(decide(&guard, &goal, &store.formulas_snapshot()));
+        assert!(
+            guard.prover_memo_len() > 0,
+            "a bare credential match memoises nothing"
+        );
         World {
             store,
             // One slot: the smallest table, built once per schedule.
@@ -84,8 +111,9 @@ impl World {
                 total_slots: 1,
                 subregion_slots: 1,
             }),
-            object: ResourceId("file:/x".into()),
-            wanted: normalize(&parse("Gate says open").unwrap()),
+            object: ResourceId(OBJECT.into()),
+            guard,
+            goal,
             gate,
             generation: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
@@ -120,9 +148,7 @@ impl World {
     }
 
     fn subject_at(&self, generation: u64) -> nexus_core::SubjectDigest {
-        self.cache
-            .digest(&Principal::name("/proc/ipd/1"))
-            .at(generation)
+        self.cache.digest(&Principal::name(SUBJECT)).at(generation)
     }
 
     /// Run `actor`'s next atomic step under `protocol`.
@@ -144,7 +170,7 @@ impl World {
                     2 => self.held = Some(self.store.formulas_snapshot()),
                     3 => {
                         let held = self.held.as_ref().expect("labels were read");
-                        self.allow = Creds::new(held).holds(&self.wanted);
+                        self.allow = decide(&self.guard, &self.goal, held);
                     }
                     4 => {
                         if self.epoch.load(Ordering::Relaxed) != self.stamp {
@@ -184,6 +210,28 @@ impl World {
             }
         }
     }
+}
+
+/// The evaluator's *decide* step, as `Nexus::evaluate_authz` takes it:
+/// auto-prove in the guard's persistent session, then check what came
+/// back against the same credentials.
+fn decide(guard: &Guard, goal: &Formula, held: &CredSet) -> bool {
+    let labels = Creds::new(held);
+    let asked = [PreparedGoal {
+        goal,
+        credentials: labels,
+    }];
+    let proved = guard
+        .prove_prepared(&asked, ProverConfig::default())
+        .remove(0);
+    let req = AccessRequest {
+        subject: &Principal::name(SUBJECT),
+        operation: &OpName::from(OP),
+        object: &ResourceId(OBJECT.into()),
+        proof: proved.proof.as_deref().map(ProofRef::Checked),
+        labels,
+    };
+    guard.check_batch(&[req], goal, &AuthorityRegistry::new())[0].allow
 }
 
 /// The two things the claim rests on, each replaceable by a broken one

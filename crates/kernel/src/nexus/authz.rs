@@ -464,9 +464,10 @@ impl Nexus {
     /// Construct proofs for every prepared request that arrived
     /// without one, routing the whole set through the guard's batch
     /// prover: one persistent `ProofSearch` session whose memo is
-    /// shared by the slice (and by subsequent ones) and flushed
-    /// whenever the label-removal epoch moves — a memoized subgoal can
-    /// never outlive the credential movement that falsified it. A goal
+    /// shared by the slice and by every later one. The guard is told
+    /// nothing about label removals: a memoized derivation is served
+    /// only if its leaves are among the credentials handed in here,
+    /// read for this very evaluation. A goal
     /// with variables was instantiated per request (`$subject`
     /// differs); a ground `goal` is every request's instance, handed
     /// to the prover as the one reference it normalises once.
@@ -487,22 +488,12 @@ impl Nexus {
         if goals.is_empty() {
             return;
         }
-        let outcomes =
-            self.guard
-                .prove_prepared(self.prover_epoch(), &goals, ProverConfig::default());
+        let outcomes = self.guard.prove_prepared(&goals, ProverConfig::default());
         let needy = prepared.iter_mut().flatten().filter(|p| p.auto_prove);
         for (p, out) in needy.zip(outcomes) {
             p.proof = out.proof.map(HeldProof::Proved);
             p.refuted = out.refuted;
         }
-    }
-
-    /// The epoch the prover memo lives under: label *removals* are the
-    /// only events that can falsify a memoized derivation (additions
-    /// change the credential fingerprints the memo is keyed by), so
-    /// this is exactly the decision cache's label-removal epoch.
-    fn prover_epoch(&self) -> u64 {
-        self.label_removal_epoch.load(Ordering::Relaxed)
     }
 
     /// The (goal, proof, label-removal) epoch triple the staleness

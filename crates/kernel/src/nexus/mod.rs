@@ -260,10 +260,10 @@ pub struct Nexus {
     /// (additions can only turn uncached denies into allows, but a
     /// removal can falsify an allow whose credential matching relied
     /// on the departed label). The third word of the read stamp: it
-    /// fails the evaluations *in flight* across a removal, and flushes
-    /// the prover memo. Verdicts already cached are not its business —
-    /// the loser's per-process generation (`IpdHot::removals`) renames
-    /// those out of reach.
+    /// fails the evaluations *in flight* across a removal, no more.
+    /// Verdicts already cached are renamed out of reach by the loser's
+    /// per-process generation (`IpdHot::removals`); the prover memo's
+    /// derivations are guarded by the leaves they rest on.
     label_removal_epoch: AtomicU64,
     first_boot: bool,
     fs_port: u64,

@@ -108,9 +108,10 @@ impl Nexus {
 
     /// The label-removal fence, as one named step — the in-flight half
     /// of a removal: bump the removal epoch (an evaluation that read
-    /// the departed label fails its stamp and starts over; the prover
-    /// memo is flushed) and quiesce in-flight pipeline batches. The
-    /// cached half is the rename `withdraw` did just before. Every
+    /// the departed label fails its stamp and starts over) and quiesce
+    /// in-flight pipeline batches. The cached half is the rename
+    /// `withdraw` did just before; the prover memo needs none — its
+    /// entries are leaf-tested against credentials read later. Every
     /// label that leaves a store leaves through that one door, which
     /// runs exactly this — transfer, credential revocation, and a
     /// remotely delivered revocation broadcast alike; by the time it

@@ -86,7 +86,7 @@ impl Nexus {
     }
 
     /// Number of subgoal entries currently held by the batch-prover
-    /// memo (diagnostics; 0 after an epoch flush).
+    /// memo (diagnostics; at most `ProverConfig::max_memo`).
     pub fn guard_prover_memo_len(&self) -> usize {
         self.guard.prover_memo_len()
     }

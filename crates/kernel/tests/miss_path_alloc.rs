@@ -6,7 +6,10 @@
 //! the prover's `Checked` witness by its leaves' keys, matches those
 //! same leaves in the guard and fills the cache — it copies no label
 //! and no proof, normalises no held credential and no ground goal per
-//! request, renders nothing to JSON and searches nothing.
+//! request, renders nothing to JSON and searches nothing — and that
+//! stays so straight after somebody else's label left its store: the
+//! prover memo is guarded by the leaves its proofs rest on, not by
+//! when they were found (ISSUE 24).
 //! Counted, not timed, by the same counting global allocator as
 //! `hit_path_alloc.rs`, over the `miss_prove` benchmark's world: an
 //! 8-conjunct goal, a 10-hop hand-off chain and 8 payload labels per
@@ -177,5 +180,54 @@ fn proved_allow_stays_inside_its_allocation_budget_and_searches_nothing() {
         (checked.cache_hits, checked.cache_misses),
         (guard.cache_hits, guard.cache_misses),
         "a proof the prover checked makes no memo lookup in the guard"
+    );
+    assert_eq!(
+        proved.restarts, 0,
+        "the memo cap is a backstop, not traffic"
+    );
+}
+
+#[test]
+fn a_proved_allow_straight_after_an_unrelated_removal_stays_inside_the_budget() {
+    const ROUNDS: usize = 64;
+    let (nexus, subjects, object, goal, held) = world();
+    for &pid in &subjects {
+        assert!(matches!(nexus.authorize(pid, "op", &object), Ok(true)));
+    }
+    // A label none of the subjects holds, bounced between two
+    // processes none of them is.
+    let (mut from, mut to) = (nexus.spawn("mover", b"img"), nexus.spawn("sink", b"img"));
+    let mut spare = nexus
+        .kernel_label(from, Principal::name("Spare"), parse("s").unwrap())
+        .expect("label");
+    let cache = nexus.decision_cache_stats();
+    let prover = nexus.guard_prover_stats();
+
+    let mut allocs = 0;
+    for i in 0..ROUNDS {
+        spare = nexus.transfer_label(from, spare, to).expect("transfer");
+        std::mem::swap(&mut from, &mut to);
+        let pid = subjects[i % SUBJECTS];
+        allocs += allocations_during(|| {
+            assert!(matches!(nexus.authorize(pid, "op", &object), Ok(true)));
+        });
+    }
+
+    let after = nexus.decision_cache_stats();
+    assert_eq!(
+        (after.hits, after.misses),
+        (cache.hits, cache.misses + ROUNDS as u64),
+        "every counted call must miss the decision cache"
+    );
+    let per_call = allocs / ROUNDS as u64 - cross_check_allocations(&goal, &held);
+    assert!(
+        per_call <= BUDGET_PER_CALL,
+        "{per_call} allocations per proved allow after a removal, budget {BUDGET_PER_CALL}"
+    );
+    let proved = nexus.guard_prover_stats();
+    assert_eq!(
+        (proved.memo_hits, proved.memo_misses, proved.restarts),
+        (prover.memo_hits + ROUNDS as u64, prover.memo_misses, 0),
+        "a removal elsewhere makes nobody's next proof a search"
     );
 }

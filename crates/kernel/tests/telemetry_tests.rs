@@ -255,7 +255,7 @@ nexus_prover_memo_hits_total counter prover memo hits
 nexus_prover_memo_misses_total counter prover memo misses
 nexus_prover_batch_groups_total counter distinct frontier groups across batches
 nexus_prover_batch_shared_total counter goals that shared an earlier goal's frontier
-nexus_prover_flushes_total counter memo flushes (label-removal epoch moved)
+nexus_prover_memo_restarts_total counter prover memo start-overs at its cap
 nexus_prover_proved_total counter auto-prove successes
 nexus_prover_failed_total counter auto-prove failures
 nexus_interpose_invocations_total counter redirector monitor invocations

@@ -74,9 +74,9 @@ pub struct ProverConfig {
     /// Maximum number of subgoals explored per [`ProofSearch::prove`]
     /// call (memo hits count as one subgoal).
     pub max_subgoals: usize,
-    /// Maximum number of memoized subgoal entries a session retains;
-    /// past the cap the search still runs, it just stops recording
-    /// (the memo is soft state).
+    /// Maximum number of memoized subgoal entries a session retains:
+    /// a recording that finds the table full empties it and starts
+    /// over ([`SearchStats::restarts`]); at 0 nothing is recorded.
     pub max_memo: usize,
 }
 
@@ -104,6 +104,9 @@ pub struct SearchStats {
     /// Batch members beyond the first of their group — requests whose
     /// entire proof was spliced from the group leader's search.
     pub batch_shared: u64,
+    /// Times the memo, full at [`ProverConfig::max_memo`], started
+    /// over: the one event after which the next proof is a cold search.
+    pub restarts: u64,
 }
 
 /// One request's (goal, credentials) pair in a prover batch.
@@ -214,6 +217,17 @@ impl SessionState {
         self.entries = 0;
     }
 
+    /// Whether one more entry may be recorded under a cap of `max_memo`
+    /// (zero records nothing): a full table starts over first — nothing
+    /// else empties it, and a cap must bound the memo, not deafen it.
+    fn make_room(&mut self, max_memo: usize) -> bool {
+        if self.entries >= max_memo && max_memo > 0 {
+            self.clear();
+            self.stats.restarts += 1;
+        }
+        self.entries < max_memo
+    }
+
     /// The first derivation of `ng` whose leaves `creds` holds.
     fn recall(&self, ng: &Formula, creds: Creds<'_>) -> Option<&Derivation> {
         self.proved.get(ng)?.iter().find(|d| d.held_by(creds))
@@ -245,13 +259,14 @@ impl SessionState {
 /// derivations across a coalesced batch (or across consecutive
 /// batches) are computed once.
 ///
-/// The memo is **soft state**: [`ProofSearch::flush`] drops it without
-/// affecting correctness. Holders that cache a session across
-/// credential *movement* (labels revoked or transferred away) must
-/// flush it — reuse is already fingerprint/leaf-guarded, but the flush
-/// keeps the table from serving an epoch that no longer exists (see
-/// `Guard::prove_batch` in `nexus-core`, which flushes exactly like
-/// the kernel decision cache invalidates).
+/// A session may be kept across any movement of credentials (labels
+/// added, revoked, transferred away) and needs no telling: the memo is
+/// a pure function of (goal, credential set, limits). A derivation is
+/// served only under a leaf test against the credentials the requester
+/// holds *now*; a refutation answers only for the fingerprint of the
+/// very set it failed under, and a removal can only make it more true.
+/// The memo is **soft state**, bounded by [`ProverConfig::max_memo`]:
+/// a recording that finds it full empties it and starts over.
 ///
 /// ```
 /// use nexus_nal::{parse, ProofSearch, ProverConfig};
@@ -403,12 +418,6 @@ impl ProofSearch {
         self.session.entries
     }
 
-    /// Drop every memoized entry (statistics survive). Soft state:
-    /// subsequent searches just start cold.
-    pub fn flush(&mut self) {
-        self.session.clear();
-    }
-
     /// Prove `goal` (`ng` normalized) for the holder of `creds`: from
     /// the memo when a finished search for it rests only on leaves the
     /// requester holds, by searching otherwise.
@@ -468,7 +477,7 @@ impl ProofSearch {
             .map(Arc::new);
         match proof {
             Some(witness) => {
-                if root_memoizable && self.session.entries < self.cfg.max_memo {
+                if root_memoizable && self.session.make_room(self.cfg.max_memo) {
                     self.session
                         .remember(ng.clone(), Derivation::Top(Arc::clone(&witness)));
                 }
@@ -702,9 +711,13 @@ impl<'a> Search<'a> {
             return None;
         }
         let result = self.solve_inner(goal, depth);
-        if memoizable && self.session.entries < self.cfg.max_memo {
+        if memoizable {
             match &result {
                 Some(_) if root => {}
+                // Budget-starved failures are artifacts of *this*
+                // search, not refutations; never memoize them.
+                None if self.budget_exhausted => {}
+                _ if !self.session.make_room(self.cfg.max_memo) => {}
                 Some(p) => {
                     let mut leaves: Vec<Formula> = p.leaves().into_iter().map(normalize).collect();
                     leaves.sort_unstable();
@@ -712,9 +725,7 @@ impl<'a> Search<'a> {
                     let proof = Box::new(p.clone());
                     self.session.remember(ng, Derivation::Sub { proof, leaves });
                 }
-                // Budget-starved failures are artifacts of *this*
-                // search, not refutations; never memoize them.
-                None if !self.budget_exhausted => {
+                None => {
                     self.note_witness(&ng, depth);
                     let slot = self
                         .session
@@ -728,7 +739,6 @@ impl<'a> Search<'a> {
                         });
                     *slot = (*slot).max(depth);
                 }
-                None => {}
             }
         }
         result
@@ -1245,11 +1255,6 @@ mod tests {
             s.prove(&g, &after).is_none(),
             "memoized derivation leaked a credential the requester no longer holds"
         );
-        // Flushing (the epoch-invalidation hook) keeps it that way.
-        s.flush();
-        assert_eq!(s.memo_len(), 0);
-        assert!(s.prove(&g, &after).is_none());
-        assert!(s.prove(&g, &before).is_some(), "cold search still works");
     }
 
     #[test]
@@ -1428,6 +1433,46 @@ mod tests {
         assert!(s.prove(&g, &cs).is_some());
         assert_eq!(s.memo_len(), 0, "cap must hold");
         assert!(s.prove(&g, &cs).is_some(), "search still works uncached");
+    }
+
+    #[test]
+    fn a_full_memo_starts_over_and_records_again() {
+        // The cap bounds the table; it must not deafen it. Nothing but
+        // the cap ever empties a session, so a table that stopped
+        // recording when full would search everything cold for good.
+        const CAP: usize = 6;
+        let cfg = ProverConfig {
+            max_memo: CAP,
+            ..ProverConfig::default()
+        };
+        let mut s = ProofSearch::new(cfg);
+        // Fill it with refutations, each under its own fingerprint.
+        let missing = parse("Owner says g").unwrap();
+        let mut strangers = 0;
+        while s.memo_len() < CAP {
+            let held = creds(&[&format!("S{strangers} says h")]);
+            assert!(s.prove(&missing, &held).is_none());
+            assert!(s.memo_len() <= CAP, "cap must hold while filling");
+            strangers += 1;
+        }
+        assert_eq!(s.stats().restarts, 0, "filling to the cap is not a restart");
+        // A fresh provable goal: recorded after a start-over, then served.
+        let cs = creds(&["A speaksfor B", "A says p"]);
+        let g = parse("B says p").unwrap();
+        assert!(s.prove(&g, &cs).is_some());
+        assert!(s.memo_len() <= CAP);
+        assert_eq!(s.stats().restarts, 1, "{:?}", s.stats());
+        let before = s.stats();
+        assert!(s.prove(&g, &cs).is_some());
+        assert!(s.memo_len() <= CAP);
+        let after = s.stats();
+        assert_eq!(
+            after.memo_hits,
+            before.memo_hits + 1,
+            "served, not searched"
+        );
+        assert_eq!(after.memo_misses, before.memo_misses);
+        assert_eq!(after.restarts, 1);
     }
 
     #[test]

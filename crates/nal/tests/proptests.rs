@@ -715,3 +715,95 @@ fn the_raw_door_returns_what_the_prepared_entry_returns() {
         "both outcomes must be exercised: {proved:?} proved, {failed:?} failed"
     );
 }
+
+/// A session needs no telling when credentials move: over random
+/// sequences of add-label / remove-label / prove on a small universe,
+/// one session that lives through the whole sequence and a session
+/// built fresh for each step agree on every verdict, every proof the
+/// long-lived one hands out passes the full `check` against the
+/// credentials held at that step, and its table never outgrows its
+/// cap — small in half the cases, so start-overs happen mid-sequence.
+#[test]
+fn a_long_lived_session_answers_as_a_fresh_one_across_credential_movement() {
+    let universe: Vec<Formula> = [
+        "A speaksfor B",
+        "B speaksfor Owner",
+        "Owner says (C speaksfor Owner)",
+        "A says p",
+        "A says q",
+        "B says q",
+        "C says p",
+        "C says q",
+        "Owner says r",
+    ]
+    .iter()
+    .map(|s| parse(s).unwrap())
+    .collect();
+    let goals: Vec<Formula> = [
+        "Owner says p",
+        "Owner says q",
+        "B says p",
+        "Owner says p and Owner says q",
+        "B says q or Owner says r",
+        "Owner says p and B says r",
+    ]
+    .iter()
+    .map(|s| parse(s).unwrap())
+    .collect();
+    let (proved, failed, served, restarts) =
+        (Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0));
+    for case in 0..CASES {
+        let mut g = Gen::new(case ^ 0x9999);
+        let cfg = ProverConfig {
+            max_memo: if case % 2 == 0 { 8 } else { 8192 },
+            ..ProverConfig::default()
+        };
+        let mut session = ProofSearch::new(cfg);
+        let mut held: Vec<Formula> = Vec::new();
+        let mut removed = false;
+        for step in 0..32 {
+            let label = &universe[g.below(universe.len() as u64) as usize];
+            match (g.below(5), held.iter().position(|h| h == label)) {
+                (0 | 1, None) => held.push(label.clone()),
+                (2, Some(at)) => {
+                    held.remove(at);
+                    removed = true;
+                }
+                _ => {
+                    let goal = &goals[g.below(goals.len() as u64) as usize];
+                    let hits = session.stats().memo_hits;
+                    let kept = session.prove(goal, &held);
+                    let fresh = ProofSearch::new(cfg).prove(goal, &held);
+                    assert_eq!(
+                        kept.is_some(),
+                        fresh.is_some(),
+                        "case {case} step {step}: {goal} from {held:?}"
+                    );
+                    if let Some(proof) = &kept {
+                        let concl = check(proof, &Assumptions::from_iter(held.iter()))
+                            .unwrap_or_else(|e| panic!("case {case} step {step}: {e:?}"));
+                        assert_eq!(normalize(&concl), normalize(goal));
+                    }
+                    let tally = if kept.is_some() { &proved } else { &failed };
+                    tally.set(tally.get() + 1);
+                    if removed && session.stats().memo_hits > hits {
+                        served.set(served.get() + 1);
+                    }
+                }
+            }
+            assert!(
+                session.memo_len() <= cfg.max_memo,
+                "case {case} step {step}"
+            );
+        }
+        restarts.set(restarts.get() + session.stats().restarts);
+    }
+    assert!(
+        proved.get() >= CASES
+            && failed.get() >= CASES
+            && served.get() >= CASES
+            && restarts.get() >= CASES / 4,
+        "{proved:?} proved, {failed:?} failed, {served:?} answered from the memo after a \
+         removal, {restarts:?} start-overs"
+    );
+}
