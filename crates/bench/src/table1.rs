@@ -155,10 +155,30 @@ pub fn run(iters: u64) -> Vec<Row> {
 mod tests {
     use super::*;
 
+    /// Per-row medians over `reps` runs of the whole table. One run
+    /// visits every call, so a row's repetitions are interleaved with
+    /// the others': a stall on the shared host costs a row one
+    /// repetition, not its only sample.
+    fn median_rows(iters: u64, reps: usize) -> Vec<Row> {
+        let runs: Vec<Vec<Row>> = (0..reps).map(|_| run(iters)).collect();
+        let median_of =
+            |i: usize, f: fn(&Row) -> f64| crate::median(runs.iter().map(|r| f(&r[i])).collect());
+        runs[0]
+            .iter()
+            .enumerate()
+            .map(|(i, row)| Row {
+                call: row.call,
+                bare_ns: median_of(i, |r| r.bare_ns),
+                nexus_ns: median_of(i, |r| r.nexus_ns),
+                direct_ns: median_of(i, |r| r.direct_ns),
+            })
+            .collect()
+    }
+
     #[test]
     fn shapes_hold() {
         let _serial = crate::timing_guard();
-        let rows = run(200);
+        let rows = median_rows(200, 5);
         let by_name = |n: &str| rows.iter().find(|r| r.call == n).unwrap().clone();
         // Interposition adds cost to the null call.
         let null = by_name("null");

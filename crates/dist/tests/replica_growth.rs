@@ -9,7 +9,7 @@
 //! tight so that a change which goes back to copying shows; it is not
 //! a protocol saving. Counted, not sampled: a counting global
 //! allocator tracks the live bytes of the whole process. This is the
-//! number ROADMAP item 3a's frontier GC drives to ≈ 0.
+//! number ROADMAP item 4a's frontier GC drives to ≈ 0.
 
 use nexus_dist::Cluster;
 use std::alloc::{GlobalAlloc, Layout, System};
